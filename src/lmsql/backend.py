@@ -1,5 +1,5 @@
 """Completion backends: remote HTTP service, deterministic fixture mock, and
-a persistent on-disk response cache.
+a response cache (in memory for the run, optionally persisted on disk).
 
 All backends share one contract: complete(request) returns exactly
 request.n completions, each truncated at the first stop string.
@@ -16,6 +16,7 @@ import re
 import tempfile
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -179,23 +180,32 @@ class RecordingBackend(Backend):
 
 
 class CachingBackend(Backend):
-    """Content-addressed response cache under cache_dir.
+    """Response cache for one run: an in-memory tier, optionally backed by a
+    content-addressed disk tier under cache_dir.
 
     The key covers the backend identity and the full request; nonzero
     temperature additionally mixes in the run seed, since replays of a
     nondeterministic service are only meaningful per run.
+
+    Each key is resolved once (single-flight): the first caller sends the
+    request and concurrent callers of the same key wait for its result. A
+    failure reaches the owner and every waiter and is not remembered, so a
+    later call retries.
     """
 
-    def __init__(self, inner: Backend, cache_dir, seed: int = 0):
+    def __init__(self, inner: Backend, cache_dir=None, seed: int = 0):
         self.inner = inner
         self.identity = inner.identity
         self.seed = seed
-        self.cache_dir = Path(cache_dir)
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise IoError(f"cannot create cache dir {cache_dir}: {e}")
+        self.cache_dir = None if cache_dir is None else Path(cache_dir)
+        if self.cache_dir is not None:
+            try:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise IoError(f"cannot create cache dir {cache_dir}: {e}")
         self._lock = threading.Lock()
+        # key -> responses, or a Future of them while the request is in flight
+        self._memo: dict = {}
 
     def key(self, req: CompletionRequest) -> str:
         payload = {
@@ -217,6 +227,30 @@ class CachingBackend(Backend):
 
     def _complete(self, req: CompletionRequest) -> list:
         key = self.key(req)
+        with self._lock:
+            found = self._memo.get(key)
+            if found is None:
+                self._memo[key] = future = Future()
+        if isinstance(found, list):
+            return list(found)
+        if found is not None:
+            return list(found.result())
+        try:
+            responses = self._fetch(key, req)
+        except BaseException as e:
+            with self._lock:
+                del self._memo[key]
+            future.set_exception(e)
+            future = None  # e's traceback holds this frame: no cycle through it
+            raise
+        with self._lock:
+            self._memo[key] = responses
+        future.set_result(responses)
+        return list(responses)
+
+    def _fetch(self, key: str, req: CompletionRequest) -> list:
+        if self.cache_dir is None:
+            return self.inner.complete(req)
         path = self._path(key)
         if path.exists():
             try:
@@ -231,14 +265,13 @@ class CachingBackend(Backend):
             "responses": responses,
             "created_at": datetime.now(timezone.utc).isoformat(),
         }
-        with self._lock:
-            try:
-                fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(entry, fh, ensure_ascii=False)
-                os.replace(tmp, path)
-            except OSError as e:
-                raise IoError(f"cannot write cache entry {path}: {e}")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(entry, fh, ensure_ascii=False)
+            os.replace(tmp, path)
+        except OSError as e:
+            raise IoError(f"cannot write cache entry {path}: {e}")
         return responses
 
 

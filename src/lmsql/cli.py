@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Optional
@@ -150,9 +150,7 @@ def make_backend(cfg: RunConfig) -> Backend:
         backend = NullBackend()
     else:
         raise ConfigError(f"unknown backend kind {kind!r}")
-    if cfg.cache_dir:
-        backend = with_cache(backend, cfg.cache_dir, seed=cfg.seed)
-    return backend
+    return with_cache(backend, cfg.cache_dir, seed=cfg.seed)
 
 
 def _load_pool(cfg: RunConfig):
@@ -218,7 +216,9 @@ def _execute_candidate(index: int, item, text: str, table: Table,
     try:
         trace = run_program(item, table, backend, pool, exec_cfg)
     except LmSqlError as e:
-        return Candidate(index, item, e, uses_calls)
+        # without its traceback, whose frames hold the table, the worker
+        # thread's work item and through it this very Candidate
+        return Candidate(index, item, e.with_traceback(None), uses_calls)
     return Candidate(index, item, trace.answer, uses_calls)
 
 
@@ -248,7 +248,10 @@ def cmd_exec(args) -> int:
 
 
 def _run_example(example: dict, dataset_dir: Path, cfg: RunConfig,
-                 backend: Backend, exemplars: list, pool) -> dict:
+                 backend: Backend, exemplars: list, pool, executor: Executor) -> dict:
+    """Parse, execute and vote one example. Each distinct candidate text runs
+    once: the backend answers identical requests identically within a run,
+    so its duplicates share the outcome and keep their own index."""
     record = {"id": example.get("id")}
     try:
         table = _table_for_example(example, dataset_dir)
@@ -257,11 +260,14 @@ def _run_example(example: dict, dataset_dir: Path, cfg: RunConfig,
                                  example.get("title", "w"), question, cfg.generation)
         texts = sample_candidates(backend, plan.text, cfg.generation)
         programs = parse_candidates(texts)
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool_exec:
-            cands = list(pool_exec.map(
-                lambda pair: _execute_candidate(pair[0], pair[1][0], pair[1][1],
-                                                table, backend, pool, cfg.execution),
-                enumerate(zip(programs, texts))))
+        first = {}  # candidate text -> index of its first occurrence
+        for i, text in enumerate(texts):
+            first.setdefault(text, i)
+        outcomes = dict(zip(first, executor.map(
+            lambda i: _execute_candidate(i, programs[i], texts[i], table, backend,
+                                         pool, cfg.execution),
+            first.values())))
+        cands = [replace(outcomes[text], index=i) for i, text in enumerate(texts)]
         answer, report = vote(cands, strategy_from_name(cfg.vote_strategy))
         record["candidates"] = [
             {
@@ -296,9 +302,11 @@ def cmd_run(args) -> int:
     dataset_dir = Path(cfg.dataset).parent
     out_path = Path(args.output) if args.output else Path("results.jsonl")
     try:
-        with out_path.open("w", encoding="utf-8") as fh:
+        with ThreadPoolExecutor(max_workers=cfg.parallelism) as executor, \
+                out_path.open("w", encoding="utf-8") as fh:
             for example in examples:
-                record = _run_example(example, dataset_dir, cfg, backend, exemplars, pool)
+                record = _run_example(example, dataset_dir, cfg, backend, exemplars,
+                                      pool, executor)
                 fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
     except OSError as e:
         raise IoError(f"cannot write {out_path}: {e}")

@@ -9,6 +9,7 @@ last, numeric coercion of numeric-looking text at comparison time.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -85,6 +86,22 @@ def _coerce_number(v: Cell):
     if isinstance(v, str):
         return parse_number(v)
     return None
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _limit_count(value) -> int:
+    """LIMIT's row count: a number from the program text, or a value-call
+    reply that must spell an integer."""
+    if isinstance(value, str) and _INTEGER.fullmatch(value.strip()):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() accepts from text
+            pass
+    elif isinstance(value, float) and math.isfinite(value):
+        return int(value)
+    raise EvalError(f"LIMIT needs an integer, got {value!r}")
 
 
 def _truthy(v: Cell) -> bool:
@@ -458,8 +475,7 @@ def _exec_query(q: Query, t: Table) -> list:
     if q.limit is not None:
         if not isinstance(q.limit, Literal):
             raise UnsupportedFeature("LIMIT with an unresolved model call")
-        n = int(q.limit.value)
-        rows = rows[:max(n, 0)]
+        rows = rows[:max(_limit_count(q.limit.value), 0)]
     return rows
 
 

@@ -12,7 +12,9 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -55,6 +57,11 @@ class ExecDemo:
             raise FormatError(
                 f"demo {self.title!r}: answer block must have exactly one extra column "
                 f"({have} vs {want})")
+
+    @cached_property
+    def question_profile(self) -> tuple:
+        """The question's n-gram counts: the reference side of every retrieval."""
+        return _profile(self.question)
 
 
 @dataclass(frozen=True)
@@ -175,37 +182,43 @@ def _tokens(text: str) -> list:
     return re.findall(r"[a-z0-9]+", text.lower())
 
 
+def _profile(text: str) -> tuple:
+    """(token count, [Counter of its n-grams for n = 1..4])."""
+    tokens = _tokens(text)
+    return len(tokens), [Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+                         for n in range(1, 5)]
+
+
+def _similarity(hyp: tuple, ref: tuple) -> float:
+    (hyp_len, hcounts), (ref_len, rcounts) = hyp, ref
+    if not hyp_len or not ref_len:
+        return 0.0
+    log_sum, used = 0.0, 0
+    for n, (hc, rc) in enumerate(zip(hcounts, rcounts), start=1):
+        grams = hyp_len - n + 1
+        if grams <= 0:
+            continue
+        matched = sum(min(c, rc[g]) for g, c in hc.items())
+        log_sum += math.log((matched + 1.0) / (grams + 1.0))
+        used += 1
+    score = math.exp(log_sum / used)
+    if hyp_len < ref_len:
+        score *= math.exp(1.0 - ref_len / hyp_len)
+    return score
+
+
 def ngram_similarity(hypothesis: str, reference: str) -> float:
     """Smoothed modified-precision overlap of 1..4-grams, with a brevity
     penalty; 0 when either side is empty."""
-    hyp, ref = _tokens(hypothesis), _tokens(reference)
-    if not hyp or not ref:
-        return 0.0
-    log_sum, used = 0.0, 0
-    for n in range(1, 5):
-        hgrams = [tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1)]
-        if not hgrams:
-            continue
-        rcounts: dict = {}
-        for i in range(len(ref) - n + 1):
-            g = tuple(ref[i:i + n])
-            rcounts[g] = rcounts.get(g, 0) + 1
-        matched = 0
-        for g in set(hgrams):
-            matched += min(hgrams.count(g), rcounts.get(g, 0))
-        log_sum += math.log((matched + 1.0) / (len(hgrams) + 1.0))
-        used += 1
-    score = math.exp(log_sum / used)
-    if len(hyp) < len(ref):
-        score *= math.exp(1.0 - len(ref) / len(hyp))
-    return score
+    return _similarity(_profile(hypothesis), _profile(reference))
 
 
 def retrieve_exec_demos(question: str, pool: list, k: int) -> list:
     """Top-k pool demos by question similarity; ties keep pool order."""
     if k <= 0:
         return []
-    scored = sorted(enumerate(pool), key=lambda e: (-ngram_similarity(question, e[1].question), e[0]))
+    hyp = _profile(question)
+    scored = sorted(enumerate(pool), key=lambda e: (-_similarity(hyp, e[1].question_profile), e[0]))
     return [demo for _, demo in scored[:k]]
 
 

@@ -138,13 +138,15 @@ def sample_candidates(backend: Backend, prompt: str,
 
 def parse_candidates(texts: list) -> list:
     """Parse each candidate independently; failures stay in the list as
-    ParseError values so votes and reports can see them."""
+    ParseError values so votes and reports can see them. They are kept
+    without their traceback, whose frames would hold this list, and the
+    caller's table, in a reference cycle."""
     out = []
     for text in texts:
         try:
             out.append(parse(text))
         except ParseError as e:
-            out.append(e)
+            out.append(e.with_traceback(None))
     return out
 
 

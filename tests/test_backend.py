@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 import requests
 
-from lmsql import (BadResponse, CompletionRequest, HttpBackend, MockBackend,
+from lmsql import (Backend, BadResponse, CompletionRequest, HttpBackend, MockBackend,
                    RateLimited, RecordingBackend, TransportError, approx_tokens,
                    mock_from_fixtures, with_cache)
 from lmsql.errors import FormatError
@@ -124,6 +127,143 @@ def test_cache_seed_scopes_sampled_requests(tmp_path):
     hot = req("p", temperature=0.7)
     assert a.key(hot) != b.key(hot)
     assert a.key(req("p")) == b.key(req("p"))  # temp 0 ignores the seed
+
+
+class GatedBackend(Backend):
+    """Blocks every request until `release` is set; optionally fails the first."""
+
+    identity = "gated"
+
+    def __init__(self, fail_first=False):
+        self.release = threading.Event()
+        self.entered = threading.Event()
+        self.fail_first = fail_first
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def _complete(self, req):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        self.entered.set()
+        assert self.release.wait(timeout=10)
+        if first and self.fail_first:
+            raise TransportError("service down")
+        return ["yes"] * req.n
+
+
+def _in_threads(fn, count):
+    """Start `count` threads running fn; returns (threads, results, errors)."""
+    results, errors = [None] * count, [None] * count
+
+    def run(i):
+        try:
+            results[i] = fn()
+        except Exception as e:
+            errors[i] = e
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    for t in threads:
+        t.start()
+    return threads, results, errors
+
+
+def _await_waiters(threads, count):
+    """Block until `count` of the threads wait on another caller's request:
+    parked in a lock wait (innermost frame `wait`) outside the cache's fetch."""
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        parked = 0
+        for t in threads:
+            frame, names = sys._current_frames().get(t.ident), []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            parked += names[:1] == ["wait"] and "_fetch" not in names
+        if parked == count:
+            return
+        time.sleep(0.001)
+    raise AssertionError(f"expected {count} waiting callers")
+
+
+def test_cache_single_flight(tmp_path):
+    inner = GatedBackend()
+    cached = with_cache(inner, tmp_path / "cache")
+    threads, results, errors = _in_threads(lambda: cached.complete(req("p", n=2)), 2)
+    assert inner.entered.wait(timeout=10)
+    _await_waiters(threads, 1)  # one caller sends, the other waits on it
+    inner.release.set()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert errors == [None, None]
+    assert inner.calls == 1
+    assert results[0] == results[1] == ["yes", "yes"]
+    assert results[0] is not results[1]
+    results[0].append("mutated")
+    assert cached.complete(req("p", n=2)) == ["yes", "yes"]
+    assert inner.calls == 1
+
+
+def test_cache_failure_reaches_every_waiter_and_is_retried():
+    inner = GatedBackend(fail_first=True)
+    cached = with_cache(inner, None)
+    threads, results, errors = _in_threads(lambda: cached.complete(req("p")), 3)
+    assert inner.entered.wait(timeout=10)
+    _await_waiters(threads, 2)
+    inner.release.set()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert inner.calls == 1
+    assert results == [None, None, None]
+    assert all(isinstance(e, TransportError) for e in errors)
+    assert cached.complete(req("p")) == ["yes"]  # the failure was not memoized
+    assert inner.calls == 2
+
+
+def test_cache_single_flight_under_contention():
+    class Counting(Backend):
+        identity = "counting"
+
+        def __init__(self):
+            self.calls = {}
+            self._lock = threading.Lock()
+
+        def _complete(self, req):
+            with self._lock:
+                self.calls[req.prompt] = self.calls.get(req.prompt, 0) + 1
+            time.sleep(0.001)
+            return [req.prompt.upper()]
+
+    inner = Counting()
+    cached = with_cache(inner, None)
+    prompts = [f"p{i}" for i in range(40)]
+
+    def worker():
+        return [cached.complete(req(p))[0] for p in prompts * 3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads, results, errors = _in_threads(worker, 8)
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [None] * 8
+    assert all(r == [p.upper() for p in prompts * 3] for r in results)
+    assert inner.calls == {p: 1 for p in prompts}
+
+
+def test_cache_memory_only_writes_no_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    inner = RecordingBackend(MockBackend([("exact", "p", ["yes"])]))
+    cached = with_cache(inner, None)
+    assert cached.complete(req("p")) == ["yes"]
+    assert cached.complete(req("p")) == ["yes"]
+    assert cached.complete(req("p", n=2)) == ["yes", "yes"]  # n is part of the key
+    assert len(inner.calls) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 class FakeResponse:

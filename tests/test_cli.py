@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from lmsql.cli import main
+from lmsql import GenerationConfig, MockBackend, RecordingBackend, mock_from_fixtures, with_cache
+from lmsql import cli
+from lmsql.cli import RunConfig, main
 
 from conftest import fixture_path
 
@@ -162,3 +165,77 @@ def test_repl(monkeypatch, capsys):
     assert code == 0
     assert "5" in out
     assert "error:" in err
+
+
+def test_run_sends_each_distinct_request_once(tmp_path, capsys, monkeypatch):
+    bench = fixture_path("bench")
+    seen = []
+
+    def recording_mock(path):
+        backend = RecordingBackend(mock_from_fixtures(path))
+        seen.append(backend)
+        return backend
+    monkeypatch.setattr(cli, "mock_from_fixtures", recording_mock)
+    outs = []
+    for parallelism in ("1", "2"):
+        path = tmp_path / f"p{parallelism}.jsonl"
+        code, _, _ = run_cli(capsys, "run", str(bench / "dataset.jsonl"),
+                             "--config", str(bench / "config.json"),
+                             "--parallelism", parallelism, "-o", str(path))
+        assert code == 0
+        requests = [r for r, _ in seen[-1].calls]
+        assert requests and len(requests) == len(set(requests))
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def _example(question="list the names"):
+    return {"id": "x", "question": question,
+            "table": {"title": "t", "header": ["name", "score"],
+                      "rows": [["ann", "3"], ["bob", "9"], ["cy", "5"]]}}
+
+
+def _run_one(programs, rules=()):
+    """_run_example on one inline example whose parse request samples `programs`."""
+    backend = with_cache(MockBackend(list(rules) + [("regex", "list the names", programs)]), None)
+    cfg = RunConfig(generation=GenerationConfig(temperature=0.0, sampling_n=len(programs),
+                                                num_shots=0))
+    with ThreadPoolExecutor(max_workers=2) as executor:
+        return cli._run_example(_example(), Path("."), cfg, backend, [], None, executor)
+
+
+def test_identical_candidates_execute_once(monkeypatch):
+    count = "SELECT COUNT(*) FROM w"
+    top = "SELECT name FROM w ORDER BY score DESC LIMIT 1"
+    executed = []
+
+    def recording(index, *args):
+        executed.append(index)
+        return execute_candidate(index, *args)
+    execute_candidate = cli._execute_candidate
+    monkeypatch.setattr(cli, "_execute_candidate", recording)
+    record = _run_one([count, top, count, count])
+    assert sorted(executed) == [0, 1]
+    assert [c["program"] for c in record["candidates"]] == [count, top, count, count]
+    assert [c["answer"] for c in record["candidates"]] == [["3"], ["bob"], ["3"], ["3"]]
+    groups = {tuple(g["values"]): g["candidates"] for g in record["vote_report"]["groups"]}
+    assert groups == {("3",): [0, 2, 3], ("bob",): [1]}
+    assert record["final_answer"] == ["3"]
+
+
+@pytest.mark.parametrize("reply", ["", "2.5", "three", "1e400"])
+def test_non_integer_limit_reply_fails_only_its_candidate(reply):
+    programs = ['SELECT name FROM w ORDER BY score DESC LIMIT f("how many to keep?"; name)',
+                "SELECT name FROM w ORDER BY score DESC LIMIT 1"]
+    record = _run_one(programs, [("regex", r"Q: how many to keep\?", [reply])])
+    assert "error" not in record
+    bad, good = record["candidates"]
+    assert bad["answer"] is None and "LIMIT needs an integer" in bad["error"]
+    assert good["error"] is None
+    assert record["final_answer"] == ["bob"]
+
+
+def test_integer_limit_reply_still_applies():
+    programs = ['SELECT name FROM w ORDER BY score DESC LIMIT f("how many to keep?"; name)']
+    record = _run_one(programs, [("regex", r"Q: how many to keep\?", [" 2 "])])
+    assert record["candidates"][0]["answer"] == ["bob", "cy"]

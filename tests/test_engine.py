@@ -37,6 +37,11 @@ def test_boolean_subquery_counts(records):
     assert d.scalar == 1.0  # boolean results are 1/0, never text
 
 
+def test_limit_beyond_float_range_is_an_eval_error(members):
+    with pytest.raises(EvalError):
+        run("SELECT member FROM w LIMIT 1e400", members)
+
+
 def test_where_and_arithmetic(members):
     assert answer("SELECT member FROM w WHERE duration + 1 >= 11", members) == ["alice", "carol"]
 
