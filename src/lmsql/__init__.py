@@ -21,15 +21,13 @@ from .interp import (ExecDemo, ExecutionConfig, Resolution, build_map_prompt,
                      resolve_call, retrieve_exec_demos, rewrite, run_program)
 from .metrics import (EvalOutcome, EvalReport, JUDGES, evaluate_dataset,
                       official_em, semantic_em, string_em)
-from .prompts import (Exemplar, GenerationConfig, INSTRUCTIONS,
-                      build_parse_prompt, load_exemplars, parse_candidates,
-                      plan_parse_prompt, sample_candidates)
+from .prompts import (Exemplar, GenerationConfig, INSTRUCTIONS, load_exemplars,
+                      parse_candidates, plan_parse_prompt, sample_candidates)
 from .syntax import (ApiCall, Program, api_calls_bottom_up, assign_roles,
                      has_api_calls, parse, print_program, tokenize)
 from .table import (Cell, Column, Table, augment, linearize, load_table,
                     normalize, project, save_csv, table_from_json)
 from .voting import (AnswerBiasedVote, Candidate, PlainVote, ProgramBiasedVote,
-                     VoteReport, VoteStrategy, normalize_answer_key,
-                     strategy_from_name, vote)
+                     VoteReport, VoteStrategy, strategy_from_name, vote)
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import http.client
 import json
 import math
 import os
@@ -16,12 +17,12 @@ import re
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import Future
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-import requests
 
 from .errors import BadResponse, FormatError, IoError, RateLimited, TransportError
 
@@ -314,7 +315,8 @@ class HttpBackend(Backend):
     def __init__(self, endpoint: str, model: str = "", api_key: str = "",
                  max_retries: int = 3, backoff: float = 0.5,
                  requests_per_minute: int = 200, token_budget: int = 8000,
-                 timeout: float = 60.0, sleeper=time.sleep, session=None):
+                 timeout: float = 60.0, sleeper=time.sleep,
+                 urlopen=urllib.request.urlopen):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
@@ -324,7 +326,7 @@ class HttpBackend(Backend):
         self.token_budget = token_budget
         self.timeout = timeout
         self.sleeper = sleeper
-        self.session = session or requests.Session()
+        self.urlopen = urlopen
         self._bucket = _TokenBucket(requests_per_minute, sleeper=sleeper)
 
     def _complete(self, req: CompletionRequest) -> list:
@@ -345,28 +347,41 @@ class HttpBackend(Backend):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(self.endpoint, data=json.dumps(payload).encode("utf-8"),
+                                         headers=headers, method="POST")
         last_error = None
         for attempt in range(self.max_retries):
             self._bucket.acquire()
             try:
-                resp = self.session.post(self.endpoint, json=payload,
-                                         headers=headers, timeout=self.timeout)
-            except requests.RequestException as e:
+                with self.urlopen(request, timeout=self.timeout) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as e:
+                detail = _error_text(e)
+                if e.code != 429 and e.code < 500:
+                    raise TransportError(f"HTTP {e.code}: {detail}")
+                last_error = f"HTTP {e.code}"
+            except (OSError, http.client.HTTPException) as e:
                 last_error = str(e)
             else:
-                if resp.status_code in (429,) or resp.status_code >= 500:
-                    last_error = f"HTTP {resp.status_code}"
-                elif resp.status_code != 200:
-                    raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                else:
-                    return self._parse(resp)
+                if status != 200:
+                    raise TransportError(f"HTTP {status}: {body[:200].decode('utf-8', 'replace')}")
+                return self._parse(body)
             if attempt < self.max_retries - 1:
                 self.sleeper(self.backoff * (2 ** attempt))
         raise TransportError(f"service unreachable after {self.max_retries} attempts: {last_error}")
 
-    def _parse(self, resp) -> list:
+    def _parse(self, body: bytes) -> list:
         try:
-            body = resp.json()
-            return [str(c["text"]) for c in body["choices"]]
+            reply = json.loads(body)
+            return [str(c["text"]) for c in reply["choices"]]
         except (ValueError, KeyError, TypeError) as e:
             raise BadResponse(f"unparseable service reply: {e}")
+
+
+def _error_text(e: urllib.error.HTTPError) -> str:
+    """The start of an error reply's body; closes the reply."""
+    try:
+        with e:
+            return e.read(200).decode("utf-8", "replace")
+    except (OSError, http.client.HTTPException):
+        return ""

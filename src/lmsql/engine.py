@@ -17,7 +17,7 @@ from functools import cached_property
 from .errors import EvalError, UnsupportedFeature
 from .syntax import (Aggregate, ApiCall, Binary, ColumnRef, InList, IsNull,
                      Literal, Program, Query, ScalarSubquery, Star, Unary,
-                     has_api_calls)
+                     aggregates, has_api_calls)
 from .table import Cell, Table, cell_to_text, format_number, parse_date_like, parse_number
 
 
@@ -354,45 +354,11 @@ def _eval_subquery(q: Query, base: Table) -> Cell:
 
 # ---- query execution ----
 
-def _has_aggregate(expr) -> bool:
-    if isinstance(expr, Aggregate):
-        return True
-    if isinstance(expr, Unary):
-        return _has_aggregate(expr.operand)
-    if isinstance(expr, Binary):
-        return _has_aggregate(expr.left) or _has_aggregate(expr.right)
-    if isinstance(expr, InList):
-        return _has_aggregate(expr.subject) or any(_has_aggregate(x) for x in expr.items)
-    if isinstance(expr, IsNull):
-        return _has_aggregate(expr.subject)
-    return False
-
-
-def _collect_aggregates(expr, out: list) -> None:
-    if isinstance(expr, Aggregate):
-        out.append(expr)
-        return
-    if isinstance(expr, Unary):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, Binary):
-        _collect_aggregates(expr.left, out)
-        _collect_aggregates(expr.right, out)
-    elif isinstance(expr, InList):
-        _collect_aggregates(expr.subject, out)
-        for x in expr.items:
-            _collect_aggregates(x, out)
-    elif isinstance(expr, IsNull):
-        _collect_aggregates(expr.subject, out)
-
-
-def _rep_index(q: Query, base: Table, indices: list):
+def _rep_index(aggs: list, base: Table, indices: list):
     """Representative row for bare columns in an aggregate query: with a single
     MIN/MAX select aggregate, the first extremum row; otherwise the first row."""
     if not indices:
         return None
-    aggs: list = []
-    for item in q.select_items:
-        _collect_aggregates(item, aggs)
     if len(aggs) == 1 and aggs[0].func in ("MIN", "MAX") and not isinstance(aggs[0].arg, Star):
         agg = aggs[0]
         best_i, best_key = None, None
@@ -440,17 +406,18 @@ def _exec_query(q: Query, t: Table) -> list:
         indices = list(range(t.row_count))
         if q.where is not None:
             indices = [i for i in indices if _truthy(_eval(q.where, _RowScope(t, i)))]
+        select_aggs = [a for e in q.select_items for a in aggregates(e)]
         is_aggregate = (
             bool(q.group_by)
-            or any(_has_aggregate(e) for e in q.select_items if not isinstance(e, Star))
+            or bool(select_aggs)
             or (q.having is not None)
-            or any(_has_aggregate(o.expr) for o in q.order_by)
+            or any(aggregates(o.expr) for o in q.order_by)
         )
         entries = []
         if is_aggregate:
             groups = _group(q, t, indices)
             for g_indices in groups:
-                scope = _GroupScope(t, g_indices, _rep_index(q, t, g_indices))
+                scope = _GroupScope(t, g_indices, _rep_index(select_aggs, t, g_indices))
                 if q.having is not None and not _truthy(_eval(q.having, scope)):
                     continue
                 entries.append((_project(q, scope, t),

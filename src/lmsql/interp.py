@@ -13,7 +13,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -21,9 +21,8 @@ from typing import Optional
 from .backend import Backend, CompletionRequest
 from .engine import Answer, denotation_to_answer, execute_sql
 from .errors import EvalError, FormatError, IoError, MalformedResponse, ResolutionError
-from .syntax import (ApiCall, Binary, ColumnRef, InList, IsNull, Literal,
-                     Aggregate, OrderItem, Program, Query, ScalarSubquery,
-                     Star, Unary, api_calls_bottom_up, assign_roles)
+from .syntax import (ApiCall, ColumnRef, Literal, Program, api_calls_bottom_up,
+                     assign_roles, map_children)
 from .table import ROW_ID, Column, Table, augment, cell_to_text, project
 
 
@@ -316,46 +315,6 @@ def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list,
 
 # ---- rewriting ----
 
-def _rewrite_expr(expr, by_id: dict):
-    if isinstance(expr, ApiCall):
-        res = by_id.get(id(expr))
-        if res is None:
-            raise EvalError(f'no resolution for f("{expr.question}"; ...)')
-        if isinstance(res.outcome, Column):
-            return ColumnRef(res.generated_name)
-        return Literal(res.outcome)
-    if isinstance(expr, Unary):
-        return replace(expr, operand=_rewrite_expr(expr.operand, by_id))
-    if isinstance(expr, Binary):
-        return replace(expr, left=_rewrite_expr(expr.left, by_id),
-                       right=_rewrite_expr(expr.right, by_id))
-    if isinstance(expr, InList):
-        return replace(expr, subject=_rewrite_expr(expr.subject, by_id),
-                       items=tuple(_rewrite_expr(x, by_id) for x in expr.items))
-    if isinstance(expr, IsNull):
-        return replace(expr, subject=_rewrite_expr(expr.subject, by_id))
-    if isinstance(expr, Aggregate):
-        if isinstance(expr.arg, Star):
-            return expr
-        return replace(expr, arg=_rewrite_expr(expr.arg, by_id))
-    if isinstance(expr, ScalarSubquery):
-        return replace(expr, query=_rewrite_query(expr.query, by_id))
-    return expr
-
-
-def _rewrite_query(q: Query, by_id: dict) -> Query:
-    return replace(
-        q,
-        select_items=tuple(e if isinstance(e, Star) else _rewrite_expr(e, by_id)
-                           for e in q.select_items),
-        where=None if q.where is None else _rewrite_expr(q.where, by_id),
-        group_by=tuple(_rewrite_expr(g, by_id) for g in q.group_by),
-        having=None if q.having is None else _rewrite_expr(q.having, by_id),
-        order_by=tuple(OrderItem(_rewrite_expr(o.expr, by_id), o.desc) for o in q.order_by),
-        limit=None if q.limit is None else _rewrite_expr(q.limit, by_id),
-    )
-
-
 def rewrite(p: Program, resolutions: list, t: Table):
     """Substitute every resolved call and append the generated columns.
 
@@ -363,11 +322,22 @@ def rewrite(p: Program, resolutions: list, t: Table):
     resolutions become literals. The returned program is plain SQL.
     """
     by_id = {id(r.call): r for r in resolutions}
+
+    def substitute(node):
+        if not isinstance(node, ApiCall):
+            return map_children(node, substitute)
+        res = by_id.get(id(node))
+        if res is None:
+            raise EvalError(f'no resolution for f("{node.question}"; ...)')
+        if isinstance(res.outcome, Column):
+            return ColumnRef(res.generated_name)
+        return Literal(res.outcome)
+
     table = t
     for r in resolutions:
         if isinstance(r.outcome, Column):
             table = augment(table, r.outcome)
-    return Program(_rewrite_query(p.root, by_id), p.source_text), table
+    return Program(substitute(p.root), p.source_text), table
 
 
 # ---- driver ----

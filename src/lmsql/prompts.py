@@ -13,12 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
 
 from .backend import Backend, CompletionRequest, approx_tokens
 from .errors import BudgetExhausted, FormatError, IoError, ParseError
-from .interp import ngram_similarity
-from .syntax import Program, parse
+from .syntax import parse
 from .table import Table, linearize, load_table, normalize, table_from_json
 
 PROGRAM_SLOT = "Binder:"
@@ -122,12 +120,6 @@ def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
     return PromptPlan(assemble(0, best), 0, best)
 
 
-def build_parse_prompt(instruction: str, exemplars: list, table: Table,
-                       title: str, question: str,
-                       cfg: GenerationConfig = GenerationConfig()) -> str:
-    return plan_parse_prompt(instruction, exemplars, table, title, question, cfg).text
-
-
 def sample_candidates(backend: Backend, prompt: str,
                       cfg: GenerationConfig = GenerationConfig()) -> list:
     """Exactly sampling_n completions, stop-truncated and trimmed."""
@@ -148,27 +140,6 @@ def parse_candidates(texts: list) -> list:
         except ParseError as e:
             out.append(e.with_traceback(None))
     return out
-
-
-# ---- exemplar selection ----
-
-ExemplarSelector = Callable[[str, list, int], list]
-
-
-def fixed_order_selector(question: str, exemplars: list, k: int) -> list:
-    return list(exemplars[:k])
-
-
-def ngram_selector(question: str, exemplars: list, k: int) -> list:
-    """Pick the k exemplars whose questions overlap the query most."""
-    if k <= 0:
-        return []
-    scored = sorted(enumerate(exemplars),
-                    key=lambda e: (-ngram_similarity(question, e[1].question), e[0]))
-    return [ex for _, ex in scored[:k]]
-
-
-SELECTORS = {"fixed": fixed_order_selector, "ngram": ngram_selector}
 
 
 def load_exemplars(path) -> list:

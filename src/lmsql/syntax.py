@@ -200,6 +200,84 @@ Expr = Union[Literal, ColumnRef, Star, Unary, Binary, InList, IsNull,
              Aggregate, ScalarSubquery, ApiCall]
 
 
+# ---- traversal ----
+# Every tree walk goes through children/map_children, so a new node type
+# needs an entry in _TRAVERSALS, print_expr, _prec and the evaluator only.
+
+def _query_children(q: Query) -> tuple:
+    out = list(q.select_items)
+    if q.where is not None:
+        out.append(q.where)
+    out.extend(q.group_by)
+    if q.having is not None:
+        out.append(q.having)
+    out.extend(o.expr for o in q.order_by)
+    if q.limit is not None:
+        out.append(q.limit)
+    return tuple(out)
+
+
+def _map_query(q: Query, fn) -> Query:
+    return replace(
+        q,
+        select_items=tuple(fn(e) for e in q.select_items),
+        where=None if q.where is None else fn(q.where),
+        group_by=tuple(fn(g) for g in q.group_by),
+        having=None if q.having is None else fn(q.having),
+        order_by=tuple(replace(o, expr=fn(o.expr)) for o in q.order_by),
+        limit=None if q.limit is None else fn(q.limit),
+    )
+
+
+_LEAF = (lambda n: (), lambda n, fn: n)
+
+# node type -> (children, map_children)
+_TRAVERSALS = {
+    Literal: _LEAF,
+    ColumnRef: _LEAF,
+    Star: _LEAF,
+    Unary: (lambda n: (n.operand,),
+            lambda n, fn: replace(n, operand=fn(n.operand))),
+    Binary: (lambda n: (n.left, n.right),
+             lambda n, fn: replace(n, left=fn(n.left), right=fn(n.right))),
+    InList: (lambda n: (n.subject, *n.items),
+             lambda n, fn: replace(n, subject=fn(n.subject),
+                                   items=tuple(fn(x) for x in n.items))),
+    IsNull: (lambda n: (n.subject,),
+             lambda n, fn: replace(n, subject=fn(n.subject))),
+    Aggregate: (lambda n: (n.arg,),
+                lambda n, fn: replace(n, arg=fn(n.arg))),
+    ScalarSubquery: (lambda n: (n.query,),
+                     lambda n, fn: replace(n, query=fn(n.query))),
+    ApiCall: (lambda n: n.args,
+              lambda n, fn: replace(n, args=tuple(fn(a) for a in n.args))),
+    Query: (_query_children, _map_query),
+}
+
+
+def children(node) -> tuple:
+    """Direct sub-nodes of an expression or Query, in document order. A
+    Query's children are its clause expressions: select items, WHERE,
+    GROUP BY, HAVING, ORDER BY expressions, then LIMIT."""
+    return _TRAVERSALS[type(node)][0](node)
+
+
+def map_children(node, fn):
+    """A copy of node with each direct sub-node c replaced by fn(c); fn is
+    called on children(node) in order. Leaves come back unchanged."""
+    return _TRAVERSALS[type(node)][1](node, fn)
+
+
+def aggregates(expr) -> list:
+    """Aggregate nodes of expr at its own query level, in document order;
+    aggregate arguments and subqueries are not searched."""
+    if isinstance(expr, Aggregate):
+        return [expr]
+    if isinstance(expr, ScalarSubquery):
+        return []
+    return [a for c in children(expr) for a in aggregates(c)]
+
+
 # ---- parser ----
 
 class _Parser:
@@ -470,28 +548,11 @@ class _Parser:
                          ["column", "f(...)"])
 
 
-def _contains_aggregate(expr) -> bool:
-    """Aggregate at this query level (does not look inside subqueries)."""
-    if isinstance(expr, Aggregate):
-        return True
-    if isinstance(expr, Unary):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, Binary):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, InList):
-        return _contains_aggregate(expr.subject) or any(_contains_aggregate(x) for x in expr.items)
-    if isinstance(expr, IsNull):
-        return _contains_aggregate(expr.subject)
-    if isinstance(expr, ApiCall):
-        return any(_contains_aggregate(a) for a in expr.args)
-    return False
-
-
 def _check_aggregate_placement(q: Query) -> None:
-    if q.where is not None and _contains_aggregate(q.where):
+    if q.where is not None and aggregates(q.where):
         raise ParseError("aggregates are not allowed in WHERE", q.where.pos)
     for g in q.group_by:
-        if _contains_aggregate(g):
+        if aggregates(g):
             raise ParseError("aggregates are not allowed in GROUP BY", g.pos)
 
 
@@ -603,53 +664,20 @@ def print_program(p: Program) -> str:
     return print_query(p.root)
 
 
-# ---- traversal ----
+# ---- model calls ----
 
-def _walk_exprs_of_query(q: Query):
-    """Expression roots of a query in document order."""
-    for item in q.select_items:
-        yield item
-    if q.where is not None:
-        yield q.where
-    for g in q.group_by:
-        yield g
-    if q.having is not None:
-        yield q.having
-    for o in q.order_by:
-        yield o.expr
-    if q.limit is not None:
-        yield q.limit
-
-
-def _collect_calls(expr, out: list) -> None:
-    if isinstance(expr, ApiCall):
-        for a in expr.args:
-            _collect_calls(a, out)
-        out.append(expr)
-    elif isinstance(expr, Unary):
-        _collect_calls(expr.operand, out)
-    elif isinstance(expr, Binary):
-        _collect_calls(expr.left, out)
-        _collect_calls(expr.right, out)
-    elif isinstance(expr, InList):
-        _collect_calls(expr.subject, out)
-        for x in expr.items:
-            _collect_calls(x, out)
-    elif isinstance(expr, IsNull):
-        _collect_calls(expr.subject, out)
-    elif isinstance(expr, Aggregate):
-        _collect_calls(expr.arg, out)
-    elif isinstance(expr, ScalarSubquery):
-        for root in _walk_exprs_of_query(expr.query):
-            _collect_calls(root, out)
+def _collect_calls(node, out: list) -> None:
+    for child in children(node):
+        _collect_calls(child, out)
+    if isinstance(node, ApiCall):
+        out.append(node)
 
 
 def api_calls_bottom_up(p: Program) -> list:
     """All ApiCall nodes, arguments before the calls that use them, siblings
     in document order."""
     out: list = []
-    for root in _walk_exprs_of_query(p.root):
-        _collect_calls(root, out)
+    _collect_calls(p.root, out)
     return out
 
 
@@ -659,59 +687,36 @@ def has_api_calls(p: Program) -> bool:
 
 # ---- role assignment ----
 
-def _assign_expr(expr, scalar_ctx: bool):
-    if isinstance(expr, ApiCall):
-        if expr.forced:
-            if scalar_ctx and expr.role == "map":
+def _assign(node, scalar_ctx: bool = False):
+    """Give every call below node its role; scalar_ctx marks a position that
+    takes a single value."""
+    kind = type(node)
+    if kind is ApiCall:
+        if node.forced:
+            if scalar_ctx and node.role == "map":
                 raise RoleAmbiguity(
-                    f'f_col("{expr.question}"; ...) sits where a single value is required')
-            role = expr.role
+                    f'f_col("{node.question}"; ...) sits where a single value is required')
+            role = node.role
         else:
             role = "val" if scalar_ctx else "map"
-        args = tuple(_assign_expr(a, False) for a in expr.args)
+        args = tuple(_assign(a) for a in node.args)
         for a in args:
             if isinstance(a, ApiCall) and a.role == "val":
                 raise RoleAmbiguity(
                     f'f_val("{a.question}"; ...) cannot supply a context column')
-        return replace(expr, role=role, args=args)
-    if isinstance(expr, Unary):
-        return replace(expr, operand=_assign_expr(expr.operand, False))
-    if isinstance(expr, Binary):
-        left_scalar = isinstance(expr.right, ScalarSubquery)
-        right_scalar = isinstance(expr.left, ScalarSubquery)
-        comparison = expr.op in ("=", "!=", "<", "<=", ">", ">=")
-        return replace(
-            expr,
-            left=_assign_expr(expr.left, comparison and left_scalar),
-            right=_assign_expr(expr.right, comparison and right_scalar),
-        )
-    if isinstance(expr, InList):
-        return replace(expr, subject=_assign_expr(expr.subject, False),
-                       items=tuple(_assign_expr(x, False) for x in expr.items))
-    if isinstance(expr, IsNull):
-        return replace(expr, subject=_assign_expr(expr.subject, False))
-    if isinstance(expr, Aggregate):
-        if isinstance(expr.arg, Star):
-            return expr
-        return replace(expr, arg=_assign_expr(expr.arg, False))
-    if isinstance(expr, ScalarSubquery):
-        return replace(expr, query=_assign_query(expr.query))
-    return expr
-
-
-def _assign_query(q: Query) -> Query:
-    return replace(
-        q,
-        select_items=tuple(_assign_expr(e, False) for e in q.select_items),
-        where=None if q.where is None else _assign_expr(q.where, False),
-        group_by=tuple(_assign_expr(g, False) for g in q.group_by),
-        having=None if q.having is None else _assign_expr(q.having, False),
-        order_by=tuple(replace(o, expr=_assign_expr(o.expr, False)) for o in q.order_by),
-        limit=None if q.limit is None else _assign_expr(q.limit, True),
-    )
+        return replace(node, role=role, args=args)
+    if kind is Binary and node.op in ("=", "!=", "<", "<=", ">", ">="):
+        # a side compared with a scalar subquery is a single value
+        return replace(node, left=_assign(node.left, isinstance(node.right, ScalarSubquery)),
+                       right=_assign(node.right, isinstance(node.left, ScalarSubquery)))
+    if kind is Query and node.limit is not None:
+        # LIMIT takes a single value
+        rest = map_children(replace(node, limit=None), _assign)
+        return replace(rest, limit=_assign(node.limit, True))
+    return map_children(node, _assign)
 
 
 def assign_roles(p: Program) -> Program:
     """Tag every model call as a per-row column (map) or single value (val)
     based on its position; f_col/f_val surface forms win."""
-    return Program(_assign_query(p.root), p.source_text)
+    return Program(_assign(p.root), p.source_text)

@@ -23,11 +23,6 @@ class Candidate:
         return isinstance(self.program, Program) and isinstance(self.answer, Answer)
 
 
-def normalize_answer_key(a: Answer) -> str:
-    """Deterministic grouping key: values canonicalized and joined in order."""
-    return a.normalized_key
-
-
 class VoteStrategy:
     name = "plain"
 

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+import urllib.error
+from pathlib import Path
 
 import pytest
-import requests
 
+import lmsql
 from lmsql import (Backend, BadResponse, CompletionRequest, HttpBackend, MockBackend,
                    RateLimited, RecordingBackend, TransportError, approx_tokens,
                    mock_from_fixtures, with_cache)
@@ -267,49 +272,57 @@ def test_cache_memory_only_writes_no_files(tmp_path, monkeypatch):
 
 
 class FakeResponse:
-    def __init__(self, status_code, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
+    """A reply as urlopen hands it back; urlopen raises HTTPError for status >= 400."""
 
-    def json(self):
-        if self._body is None:
-            raise ValueError("no json")
-        return self._body
+    def __init__(self, status, body=None, text=""):
+        self.status = status
+        self.body = (text if body is None else json.dumps(body)).encode("utf-8")
+
+    def read(self):
+        return self.body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
 
 
-class FakeSession:
+class FakeUrlopen:
     """Scripted transport: each element is an exception or a FakeResponse."""
 
     def __init__(self, script):
         self.script = list(script)
         self.posts = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append(json)
+    def __call__(self, request, timeout=None):
+        self.posts.append(json.loads(request.data))
         step = self.script.pop(0)
         if isinstance(step, Exception):
             raise step
+        if step.status >= 400:
+            raise urllib.error.HTTPError(request.full_url, step.status, "error", {},
+                                         io.BytesIO(step.body))
         return step
 
 
 def http_backend(script, **kw):
     sleeps = []
     backend = HttpBackend("http://svc/complete", sleeper=sleeps.append,
-                          session=FakeSession(script), **kw)
+                          urlopen=FakeUrlopen(script), **kw)
     return backend, sleeps
 
 
 def test_http_success_and_payload():
     backend, _ = http_backend([FakeResponse(200, {"choices": [{"text": "a"}, {"text": "b"}]})])
     assert backend.complete(req("p", n=2)) == ["a", "b"]
-    assert backend.session.posts[0]["n"] == 2
-    assert backend.session.posts[0]["max_tokens"] == 512
+    assert backend.urlopen.posts[0]["n"] == 2
+    assert backend.urlopen.posts[0]["max_tokens"] == 512
 
 
 def test_http_retries_then_succeeds():
     backend, sleeps = http_backend([
-        requests.ConnectionError("down"),
+        urllib.error.URLError("down"),
         FakeResponse(500),
         FakeResponse(200, {"choices": [{"text": "ok"}]}),
     ])
@@ -318,10 +331,24 @@ def test_http_retries_then_succeeds():
 
 
 def test_http_gives_up_after_bounded_retries():
-    backend, sleeps = http_backend([requests.ConnectionError("down")] * 3)
+    backend, sleeps = http_backend([urllib.error.URLError("down")] * 3)
     with pytest.raises(TransportError):
         backend.complete(req("p"))
-    assert len(backend.session.posts) == 3
+    assert len(backend.urlopen.posts) == 3
+
+
+def test_http_client_error_fails_without_retry():
+    backend, sleeps = http_backend([FakeResponse(400, text="bad request")])
+    with pytest.raises(TransportError, match="HTTP 400: bad request"):
+        backend.complete(req("p"))
+    assert len(backend.urlopen.posts) == 1
+    assert sleeps == []
+
+
+def test_cli_imports_without_requests():
+    code = 'import sys; sys.modules["requests"] = None; import lmsql.cli'
+    env = dict(os.environ, PYTHONPATH=str(Path(lmsql.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_http_bad_reply():

@@ -5,10 +5,10 @@ import json
 import pytest
 
 from lmsql import (BudgetExhausted, GenerationConfig, MockBackend, ParseError,
-                   Program, build_parse_prompt, linearize, load_exemplars,
+                   Program, linearize, load_exemplars,
                    parse_candidates, plan_parse_prompt, sample_candidates)
 from lmsql.backend import approx_tokens
-from lmsql.prompts import Exemplar, INSTRUCTIONS, ngram_selector
+from lmsql.prompts import Exemplar, INSTRUCTIONS
 
 from conftest import fixture_path, make_table
 
@@ -29,8 +29,8 @@ def small_table(rows=3):
 def test_prompt_layout_matches_published_block():
     ex = lachlan_exemplar()
     infer = small_table()
-    text = build_parse_prompt(INSTRUCTIONS["wikitq"], [ex], infer, "T", "how many rows?",
-                              GenerationConfig(num_shots=1))
+    text = plan_parse_prompt(INSTRUCTIONS["wikitq"], [ex], infer, "T", "how many rows?",
+                             GenerationConfig(num_shots=1)).text
     golden_block = fixture_path("golden/lachlan_linearize.txt").read_text(encoding="utf-8")
     expected_head = (
         "Generate SQL given the question and table to answer the question correctly.\n\n"
@@ -47,8 +47,8 @@ def test_prompt_is_deterministic():
     ex = lachlan_exemplar()
     infer = small_table()
     cfg = GenerationConfig()
-    a = build_parse_prompt("instruction", [ex] * 3, infer, "T", "q?", cfg)
-    b = build_parse_prompt("instruction", [ex] * 3, infer, "T", "q?", cfg)
+    a = plan_parse_prompt("instruction", [ex] * 3, infer, "T", "q?", cfg).text
+    b = plan_parse_prompt("instruction", [ex] * 3, infer, "T", "q?", cfg).text
     assert a == b
 
 
@@ -121,13 +121,6 @@ def test_generation_defaults_per_dataset():
     assert (tabfact.temperature, tabfact.sampling_n, tabfact.num_shots) == (0.6, 50, 14)
     mmqa = GenerationConfig.for_dataset("mmqa")
     assert (mmqa.temperature, mmqa.sampling_n, mmqa.num_shots) == (0.4, 20, 18)
-
-
-def test_ngram_selector_prefers_matching_question():
-    exemplars = [lachlan_exemplar(),
-                 Exemplar(small_table(), "t2", "how many rows are there?", "SELECT COUNT(*) FROM w")]
-    got = ngram_selector("how many rows in total?", exemplars, 1)
-    assert got[0].question == "how many rows are there?"
 
 
 def test_load_exemplars(tmp_path):

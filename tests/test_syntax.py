@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lmsql import (ApiCall, LexError, ParseError, RoleAmbiguity,
                    api_calls_bottom_up, assign_roles, parse, print_program,
                    tokenize)
-from lmsql.syntax import Aggregate, Binary, ColumnRef, Literal, ScalarSubquery
+from lmsql import syntax
+from lmsql.syntax import (Aggregate, Binary, ColumnRef, Literal, ScalarSubquery,
+                          children, map_children)
 
 from corpus import EXEMPLAR_PROGRAMS
+from randgen import make_random_table, random_query
 
 
 def roundtrip(text: str):
@@ -142,6 +147,32 @@ def test_print_forced_and_nested_calls():
     roundtrip('SELECT f_val("V?"; a) FROM w')
     roundtrip('SELECT f("outer?"; f("inner?"; a), b) FROM w')
     roundtrip("SELECT a FROM w WHERE `weird name` = 'x'")
+
+
+# ---- traversal ----
+
+def _nodes(node):
+    yield node
+    for child in children(node):
+        yield from _nodes(child)
+
+
+def test_map_children_agrees_with_children():
+    rng = random.Random(11)
+    programs = [parse(text) for text in EXEMPLAR_PROGRAMS]
+    for _ in range(200):
+        table, num_cols, text_cols = make_random_table(rng)
+        programs.append(parse(random_query(rng, num_cols, text_cols)[0]))
+    programs += [assign_roles(p) for p in programs]
+    seen_types = set()
+    for p in programs:
+        for node in _nodes(p.root):
+            seen_types.add(type(node))
+            assert map_children(node, lambda c: c) == node
+            visited = []
+            map_children(node, lambda c: visited.append(c) or c)
+            assert [id(c) for c in visited] == [id(c) for c in children(node)]
+    assert seen_types == set(syntax._TRAVERSALS)  # the corpus covers every node type
 
 
 # ---- bottom-up enumeration ----

@@ -4,7 +4,7 @@ import pytest
 
 from lmsql import (Answer, AnswerBiasedVote, Candidate, EMPTY_ANSWER,
                    EvalError, PlainVote, ProgramBiasedVote, parse,
-                   normalize_answer_key, strategy_from_name, vote)
+                   strategy_from_name, vote)
 
 PLAIN_PROGRAM = parse("SELECT 1")
 CALL_PROGRAM = parse('SELECT f("q"; a) FROM w')
@@ -87,10 +87,10 @@ def test_duplicate_answers_accumulate_multiplicity():
 
 
 def test_normalize_answer_key():
-    assert normalize_answer_key(Answer(("1.0",))) == normalize_answer_key(Answer((1.0,)))
-    assert normalize_answer_key(Answer(("A", "B"))) != normalize_answer_key(Answer(("B", "A")))
-    assert normalize_answer_key(Answer(())) == "<empty>"
-    assert normalize_answer_key(Answer((" Mixed Case ",))) == "mixed case"
+    assert Answer(("1.0",)).normalized_key == Answer((1.0,)).normalized_key
+    assert Answer(("A", "B")).normalized_key != Answer(("B", "A")).normalized_key
+    assert Answer(()).normalized_key == "<empty>"
+    assert Answer((" Mixed Case ",)).normalized_key == "mixed case"
 
 
 def test_strategy_names():
