@@ -16,9 +16,9 @@ from .errors import (BackendError, BadResponse, BudgetExhausted, ConfigError,
                      ParseError, RateLimited, ResolutionError, RoleAmbiguity,
                      TransportError, UnknownColumn, UnsupportedFeature)
 from .interp import (ExecDemo, ExecutionConfig, Resolution, build_map_prompt,
-                     build_val_prompt, default_exec_demos, execute_binder,
-                     load_exec_demos, ngram_similarity, parse_map_response,
-                     resolve_call, retrieve_exec_demos, rewrite, run_program)
+                     build_val_prompt, default_exec_demos, load_exec_demos,
+                     ngram_similarity, parse_map_response, resolve_call,
+                     retrieve_exec_demos, run_program)
 from .metrics import (EvalOutcome, EvalReport, JUDGES, evaluate_dataset,
                       official_em, semantic_em, string_em)
 from .prompts import (Exemplar, GenerationConfig, INSTRUCTIONS, load_exemplars,

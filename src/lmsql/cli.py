@@ -208,8 +208,8 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _execute_candidate(index: int, item, text: str, table: Table,
-                       backend: Backend, pool, exec_cfg: ExecutionConfig) -> Candidate:
+def _execute_candidate(index: int, item, table: Table, backend: Backend, pool,
+                       exec_cfg: ExecutionConfig) -> Candidate:
     if not isinstance(item, Program):
         return Candidate(index, item, None, False)
     uses_calls = has_api_calls(item)
@@ -241,8 +241,7 @@ def cmd_exec(args) -> int:
             if is_column:
                 print("--- materialized:")
                 print("\t".join("" if c is None else str(c) for c in res.outcome.cells))
-        if trace.rewritten is not None:
-            print(f"--- rewritten: {print_program(trace.rewritten)}")
+        print(f"--- rewritten: {print_program(trace.rewritten)}")
     print("\t".join(trace.answer.display()))
     return EXIT_OK
 
@@ -264,8 +263,8 @@ def _run_example(example: dict, dataset_dir: Path, cfg: RunConfig,
         for i, text in enumerate(texts):
             first.setdefault(text, i)
         outcomes = dict(zip(first, executor.map(
-            lambda i: _execute_candidate(i, programs[i], texts[i], table, backend,
-                                         pool, cfg.execution),
+            lambda i: _execute_candidate(i, programs[i], table, backend, pool,
+                                         cfg.execution),
             first.values())))
         cands = [replace(outcomes[text], index=i) for i, text in enumerate(texts)]
         answer, report = vote(cands, strategy_from_name(cfg.vote_strategy))
@@ -355,6 +354,7 @@ def cmd_repl(args) -> int:
     cfg = load_run_config(args.config, args)
     table = _load_normalized_table(args.table)
     pool = _load_pool(cfg)
+    backend = None  # built once, on the first line that has model calls
     print(f"table {args.table}: {table.row_count} rows, columns "
           f"{', '.join(table.column_names())}. Blank line or 'exit' quits.")
     while True:
@@ -366,8 +366,9 @@ def cmd_repl(args) -> int:
             break
         try:
             program = parse(line)
-            backend = make_backend(cfg) if has_api_calls(program) else NullBackend()
-            trace = run_program(program, table, backend, pool, cfg.execution)
+            if backend is None and has_api_calls(program):
+                backend = make_backend(cfg)
+            trace = run_program(program, table, backend or NullBackend(), pool, cfg.execution)
             if args.trace:
                 for res in trace.resolutions:
                     print(f'f("{res.call.question}") -> {res.generated_name}: {res.response!r}')

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import EvalError, UnsupportedFeature
 from .syntax import (Aggregate, ApiCall, Binary, ColumnRef, InList, IsNull,
@@ -158,8 +158,8 @@ def _comparable_pair(left: Cell, right: Cell):
     return (str(left), str(right))
 
 
+@lru_cache(maxsize=256)
 def _like_regex(pattern: str):
-    import re
     out = []
     for ch in pattern:
         if ch == "%":
@@ -174,10 +174,17 @@ def _like_regex(pattern: str):
 # ---- scopes ----
 
 class _Scope:
-    """Name resolution context for expression evaluation."""
+    """Name resolution context for expression evaluation. All scopes of one
+    execute_sql call share `subqueries`, the values of the scalar subqueries
+    evaluated so far: a subquery cannot refer to the outer row, so its value
+    is the same for every row."""
 
-    def __init__(self, base: Table):
+    def __init__(self, base: Table, subqueries: dict):
         self.base = base
+        self.subqueries = subqueries
+
+    def row(self, index: int) -> "_RowScope":
+        return _RowScope(self.base, self.subqueries, index)
 
     def cell(self, name: str) -> Cell:
         raise EvalError(f"column {name!r} referenced outside a FROM clause")
@@ -187,8 +194,8 @@ class _Scope:
 
 
 class _RowScope(_Scope):
-    def __init__(self, base: Table, index: int):
-        super().__init__(base)
+    def __init__(self, base: Table, subqueries: dict, index: int):
+        super().__init__(base, subqueries)
         self.index = index
 
     def cell(self, name: str) -> Cell:
@@ -196,8 +203,8 @@ class _RowScope(_Scope):
 
 
 class _GroupScope(_Scope):
-    def __init__(self, base: Table, indices: list, rep_index=None):
-        super().__init__(base)
+    def __init__(self, base: Table, subqueries: dict, indices: list, rep_index=None):
+        super().__init__(base, subqueries)
         self.indices = indices
         self.rep_index = rep_index if rep_index is not None else (indices[0] if indices else None)
 
@@ -209,7 +216,7 @@ class _GroupScope(_Scope):
     def aggregate(self, agg: Aggregate) -> Cell:
         if isinstance(agg.arg, Star):
             return float(len(self.indices))
-        values = [_eval(agg.arg, _RowScope(self.base, i)) for i in self.indices]
+        values = [_eval(agg.arg, self.row(i)) for i in self.indices]
         present = [v for v in values if v is not None]
         if agg.func == "COUNT":
             if agg.distinct:
@@ -268,7 +275,7 @@ def _eval(expr, scope: _Scope) -> Cell:
             hit = not hit
         return 1.0 if hit else 0.0
     if isinstance(expr, ScalarSubquery):
-        return _eval_subquery(expr.query, scope.base)
+        return _eval_subquery(expr, scope)
     raise UnsupportedFeature(f"cannot evaluate {type(expr).__name__}")
 
 
@@ -341,8 +348,16 @@ def _eval_in(expr: InList, scope: _Scope) -> Cell:
     return 1.0 if expr.negated else 0.0
 
 
-def _eval_subquery(q: Query, base: Table) -> Cell:
-    rows = _exec_query(q, base)
+def _eval_subquery(expr: ScalarSubquery, scope: _Scope) -> Cell:
+    """The subquery's value, computed at its first use in the execute_sql
+    call; node identity is a sound key while the program is being run."""
+    key = id(expr)
+    if key not in scope.subqueries:
+        scope.subqueries[key] = _scalar(_exec_query(expr.query, scope.base, scope.subqueries))
+    return scope.subqueries[key]
+
+
+def _scalar(rows: list) -> Cell:
     if not rows:
         return None
     if len(rows) > 1:
@@ -354,7 +369,7 @@ def _eval_subquery(q: Query, base: Table) -> Cell:
 
 # ---- query execution ----
 
-def _rep_index(aggs: list, base: Table, indices: list):
+def _rep_index(aggs: list, scope: _Scope, indices: list):
     """Representative row for bare columns in an aggregate query: with a single
     MIN/MAX select aggregate, the first extremum row; otherwise the first row."""
     if not indices:
@@ -363,7 +378,7 @@ def _rep_index(aggs: list, base: Table, indices: list):
         agg = aggs[0]
         best_i, best_key = None, None
         for i in indices:
-            v = _eval(agg.arg, _RowScope(base, i))
+            v = _eval(agg.arg, scope.row(i))
             if v is None:
                 continue
             k = _sort_key(v)
@@ -397,15 +412,15 @@ def _order_rows(entries: list, q: Query):
     return entries
 
 
-def _exec_query(q: Query, t: Table) -> list:
+def _exec_query(q: Query, t: Table, subqueries: dict) -> list:
+    top = _Scope(t, subqueries)
     if q.from_table is None:
-        scope = _Scope(t)
-        rows = [_project(q, scope, t)]
-        entries = [(r, [_eval(o.expr, scope) for o in q.order_by]) for r in rows]
+        rows = [_project(q, top, t)]
+        entries = [(r, [_eval(o.expr, top) for o in q.order_by]) for r in rows]
     else:
         indices = list(range(t.row_count))
         if q.where is not None:
-            indices = [i for i in indices if _truthy(_eval(q.where, _RowScope(t, i)))]
+            indices = [i for i in indices if _truthy(_eval(q.where, top.row(i)))]
         select_aggs = [a for e in q.select_items for a in aggregates(e)]
         is_aggregate = (
             bool(q.group_by)
@@ -415,16 +430,17 @@ def _exec_query(q: Query, t: Table) -> list:
         )
         entries = []
         if is_aggregate:
-            groups = _group(q, t, indices)
+            groups = _group(q, top, indices)
             for g_indices in groups:
-                scope = _GroupScope(t, g_indices, _rep_index(select_aggs, t, g_indices))
+                scope = _GroupScope(t, subqueries, g_indices,
+                                    _rep_index(select_aggs, top, g_indices))
                 if q.having is not None and not _truthy(_eval(q.having, scope)):
                     continue
                 entries.append((_project(q, scope, t),
                                 [_eval(o.expr, scope) for o in q.order_by]))
         else:
             for i in indices:
-                scope = _RowScope(t, i)
+                scope = top.row(i)
                 entries.append((_project(q, scope, t),
                                 [_eval(o.expr, scope) for o in q.order_by]))
     if q.distinct:
@@ -446,12 +462,12 @@ def _exec_query(q: Query, t: Table) -> list:
     return rows
 
 
-def _group(q: Query, t: Table, indices: list) -> list:
+def _group(q: Query, top: _Scope, indices: list) -> list:
     if not q.group_by:
         return [indices]  # single group, possibly empty (COUNT(*) over no rows is 0)
     buckets: dict = {}
     for i in indices:
-        scope = _RowScope(t, i)
+        scope = top.row(i)
         key = tuple(_group_key(_eval(g, scope)) for g in q.group_by)
         buckets.setdefault(key, []).append(i)
     return list(buckets.values())  # insertion order = first-appearance order
@@ -461,4 +477,4 @@ def execute_sql(p: Program, t: Table) -> Denotation:
     """Execute a model-call-free program against a table."""
     if has_api_calls(p):
         raise UnsupportedFeature("program still contains model calls; resolve them first")
-    return Denotation(tuple(_exec_query(p.root, t)))
+    return Denotation(tuple(_exec_query(p.root, t, {})))

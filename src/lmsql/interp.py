@@ -1,5 +1,5 @@
-"""Execution stage: resolve model calls bottom-up, materialize their results
-as columns or scalars, rewrite the program to plain SQL and run it.
+"""Execution stage: resolve model calls bottom-up, substitute each by its
+result as a column or a scalar, and run the resulting plain SQL.
 
 Map calls send the context sub-table row by row and read back an aligned
 answer column; val calls read a single value. Every resolved column is
@@ -271,29 +271,16 @@ def _generated_name(t: Table, ordinal: int, question: str) -> str:
     return name
 
 
-def _context_names(call: ApiCall, resolved_names: dict) -> list:
-    names = []
-    for arg in call.args:
-        if isinstance(arg, ColumnRef):
-            names.append(arg.name)
-        elif isinstance(arg, ApiCall):
-            name = resolved_names.get(id(arg))
-            if name is None:
-                raise EvalError(
-                    f'inner call f("{arg.question}"; ...) was not resolved before its parent')
-            names.append(name)
-        else:
-            raise EvalError("model-call arguments must be columns or nested calls")
-    return names
-
-
 def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list,
-                 cfg: ExecutionConfig = ExecutionConfig(), resolved_names=None,
-                 ordinal: int = 0) -> Resolution:
-    """Resolve one call whose arguments are already materialized on t."""
+                 cfg: ExecutionConfig = ExecutionConfig(), ordinal: int = 0) -> Resolution:
+    """Resolve one call whose arguments are columns of t: nested calls must
+    already be substituted by their generated columns."""
     if call.role not in ("map", "val"):
         raise EvalError(f'call f("{call.question}"; ...) has no assigned role')
-    sub = project(t, _context_names(call, resolved_names or {}))
+    if not all(isinstance(arg, ColumnRef) for arg in call.args):
+        raise EvalError(f'call f("{call.question}"; ...) has an argument that is not a column; '
+                        "resolve nested calls first")
+    sub = project(t, [arg.name for arg in call.args])
 
     def ask(prompt: str) -> str:
         req = CompletionRequest(prompt, cfg.temperature, cfg.top_p,
@@ -313,71 +300,49 @@ def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list,
     return Resolution(call, parse_val_response(response), name, prompt, response)
 
 
-# ---- rewriting ----
-
-def rewrite(p: Program, resolutions: list, t: Table):
-    """Substitute every resolved call and append the generated columns.
-
-    Map resolutions become ColumnRefs over columns augmented onto t; val
-    resolutions become literals. The returned program is plain SQL.
-    """
-    by_id = {id(r.call): r for r in resolutions}
-
-    def substitute(node):
-        if not isinstance(node, ApiCall):
-            return map_children(node, substitute)
-        res = by_id.get(id(node))
-        if res is None:
-            raise EvalError(f'no resolution for f("{node.question}"; ...)')
-        if isinstance(res.outcome, Column):
-            return ColumnRef(res.generated_name)
-        return Literal(res.outcome)
-
-    table = t
-    for r in resolutions:
-        if isinstance(r.outcome, Column):
-            table = augment(table, r.outcome)
-    return Program(substitute(p.root), p.source_text), table
-
-
 # ---- driver ----
 
 @dataclass
 class ExecutionTrace:
     answer: Answer
     resolutions: list
-    rewritten: Optional[Program] = None
+    rewritten: Program
+
+
+def _substitute_calls(node, substitute):
+    """A copy of node with every call c replaced by substitute(c), where c's
+    arguments are already substituted: a post-order map_children pass. It
+    is not a closure that recurses into itself, because such a closure is a
+    reference cycle that keeps the working table alive until gc runs."""
+    node = map_children(node, lambda child: _substitute_calls(child, substitute))
+    return substitute(node) if isinstance(node, ApiCall) else node
 
 
 def run_program(p: Program, t: Table, backend: Backend, pool=None,
                 cfg: ExecutionConfig = ExecutionConfig()) -> ExecutionTrace:
-    """Full execution with per-call trace. Resolutions are strictly
-    sequential in bottom-up order; call-free programs never touch the
-    backend."""
+    """Full execution with per-call trace. One post-order pass resolves each
+    call once its arguments are columns and substitutes it in the same
+    visit, so resolutions run strictly sequentially in bottom-up order.
+    Call-free programs never touch the backend."""
     tagged = assign_roles(p)
-    calls = api_calls_bottom_up(tagged)
-    if not calls:
+    if not api_calls_bottom_up(tagged):
         return ExecutionTrace(denotation_to_answer(execute_sql(tagged, t)), [], tagged)
     if pool is None:
         pool = default_exec_demos()
     working = t
-    resolved_names: dict = {}
     resolutions = []
-    for ordinal, call in enumerate(calls):
+
+    def resolve(call: ApiCall):
+        nonlocal working
         try:
-            res = resolve_call(call, working, backend, pool, cfg, resolved_names, ordinal)
+            res = resolve_call(call, working, backend, pool, cfg, len(resolutions))
         except Exception as e:
             raise ResolutionError(call.question, e) from e
         resolutions.append(res)
         if isinstance(res.outcome, Column):
             working = augment(working, res.outcome)
-            resolved_names[id(call)] = res.generated_name
-    pure, table = rewrite(tagged, resolutions, t)
-    answer = denotation_to_answer(execute_sql(pure, table))
-    return ExecutionTrace(answer, resolutions, pure)
+            return ColumnRef(res.generated_name)
+        return Literal(res.outcome)
 
-
-def execute_binder(p: Program, t: Table, backend: Backend, pool=None,
-                   cfg: ExecutionConfig = ExecutionConfig()) -> Answer:
-    """Resolve calls bottom-up, rewrite to plain SQL, execute, and flatten."""
-    return run_program(p, t, backend, pool, cfg).answer
+    pure = Program(_substitute_calls(tagged.root, resolve), tagged.source_text)
+    return ExecutionTrace(denotation_to_answer(execute_sql(pure, working)), resolutions, pure)

@@ -10,9 +10,9 @@ from pathlib import Path
 
 from lmsql import (Answer, AnswerBiasedVote, Candidate, MockBackend, PlainVote,
                    ProgramBiasedVote, RecordingBackend, build_map_prompt,
-                   default_exec_demos, denotation_to_answer, execute_binder,
-                   execute_sql, linearize, load_table, normalize, official_em,
-                   parse, print_program, semantic_em, string_em, vote)
+                   default_exec_demos, denotation_to_answer, execute_sql,
+                   linearize, load_table, normalize, official_em, parse,
+                   print_program, run_program, semantic_em, string_em, vote)
 from lmsql.backend import approx_tokens
 from lmsql.cli import main as cli_main
 from lmsql.prompts import GenerationConfig, Exemplar, plan_parse_prompt
@@ -52,7 +52,7 @@ def test_c02_conservativity_of_extended_grammar():
         plain = parse(sql, allow_api_calls=False)
         assert extended.root == plain.root, sql
         backend = RecordingBackend(MockBackend())
-        got = execute_binder(extended, table, backend, pool=[])
+        got = run_program(extended, table, backend, pool=[]).answer
         want = denotation_to_answer(execute_sql(plain, table))
         assert got.values == want.values, sql
         assert backend.calls == [], "backend must never be invoked for call-free programs"
@@ -129,7 +129,7 @@ def test_c06_bottom_up_contract():
                   ["/*\nrow_id\tcol\touter?\n0\ti1\tyes\n1\ti2\tno\n*/"])
     backend = RecordingBackend(mock)
     program = parse('SELECT c FROM w WHERE f("outer?"; f("inner?"; c)) = \'yes\'')
-    answer = execute_binder(program, table, backend, pool=[])
+    answer = run_program(program, table, backend, pool=[]).answer
     assert answer.display() == ["x1"]
     assert len(backend.calls) == 2
     first, second = (req.prompt for req, _ in backend.calls)

@@ -167,6 +167,25 @@ def test_repl(monkeypatch, capsys):
     assert "error:" in err
 
 
+def test_repl_builds_its_backend_once(monkeypatch, capsys):
+    loads = []
+
+    def counting_mock(path):
+        loads.append(path)
+        return mock_from_fixtures(path)
+    monkeypatch.setattr(cli, "mock_from_fixtures", counting_mock)
+    lines = iter(["SELECT COUNT(*) FROM w",
+                  "SELECT shirt FROM w WHERE f(\"North America?\"; made_in) = 'yes' "
+                  "ORDER BY num_of_orders DESC LIMIT 1",
+                  "SELECT COUNT(*) FROM w WHERE f(\"No chemicals?\"; shirt) = 'yes'",
+                  "exit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    code, out, err = run_cli(capsys, "repl", SHIRTS, "--backend", f"mock:{FIG1 / 'mock.json'}")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == ["5", "flannel shirt, synthetic blend", "3"]
+    assert len(loads) == 1
+
+
 def test_run_sends_each_distinct_request_once(tmp_path, capsys, monkeypatch):
     bench = fixture_path("bench")
     seen = []

@@ -4,6 +4,7 @@ import pytest
 
 from lmsql import (Answer, EvalError, UnknownColumn, UnsupportedFeature,
                    denotation_to_answer, execute_sql, parse)
+from lmsql import engine
 
 from conftest import make_table
 
@@ -122,6 +123,24 @@ def test_select_star(members):
 def test_scalar_subquery_errors(members):
     with pytest.raises(EvalError):
         run("SELECT (SELECT member FROM w) FROM w LIMIT 1", members)
+
+
+def test_scalar_subquery_runs_once_per_execute(members, monkeypatch):
+    queries = []
+    exec_query = engine._exec_query
+
+    def counting(q, *args):
+        queries.append(q)
+        return exec_query(q, *args)
+    monkeypatch.setattr(engine, "_exec_query", counting)
+    sql = "SELECT member FROM w WHERE duration > (SELECT AVG(duration) FROM w WHERE member != 'bob')"
+    assert answer(sql, members) == ["carol"]
+    assert len(queries) == 2  # the outer query, then the subquery at its first row
+    assert answer(sql, members) == ["carol"]
+    assert len(queries) == 4  # a new call computes the value again
+    assert answer("SELECT COUNT(*) FROM w WHERE 0 = 1 AND duration > (SELECT member FROM w)",
+                  members) == ["0"]
+    assert len(queries) == 5  # never used, so never run: no multi-row error
 
 
 def test_unknown_column(members):

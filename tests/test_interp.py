@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from lmsql import (CompletionRequest, ExecDemo, ExecutionConfig,
+from lmsql import (CompletionRequest, EvalError, ExecDemo, ExecutionConfig,
                    MalformedResponse, MockBackend, RecordingBackend,
                    ResolutionError, build_map_prompt, build_val_prompt,
-                   default_exec_demos, execute_binder, execute_sql,
-                   denotation_to_answer, ngram_similarity, parse,
-                   parse_map_response, resolve_call, retrieve_exec_demos,
-                   rewrite, run_program)
+                   default_exec_demos, execute_sql, denotation_to_answer,
+                   ngram_similarity, parse, parse_map_response, resolve_call,
+                   retrieve_exec_demos, run_program)
 from lmsql.interp import _fields
 from lmsql.syntax import api_calls_bottom_up, assign_roles
 
 from conftest import fixture_path, make_table
+from corpus import EXEMPLAR_PROGRAMS
 
 NO_DEMOS = ExecutionConfig(num_demos=0)
 
@@ -180,26 +182,21 @@ def test_resolve_val_call(hometown):
     assert res.outcome == "chicago, il, u.s."
 
 
-def test_rewrite_identity_without_calls(records):
-    p = parse("SELECT COUNT(*) FROM w")
-    p2, t2 = rewrite(p, [], records)
-    assert p2.root == p.root and t2 is records
-
-
 def test_execute_binder_numeric_coercion_of_map_answers():
     t = feet_table()
     program = parse('SELECT COUNT(*) FROM w WHERE f("What is the value of in feet?"; prominence) > 5000')
-    answer = execute_binder(program, t, feet_mock(), pool=[], cfg=NO_DEMOS)
+    answer = run_program(program, t, feet_mock(), pool=[], cfg=NO_DEMOS).answer
     assert answer.display() == ["3"]
 
 
 def test_execute_binder_conservative_on_plain_sql(records):
     backend = RecordingBackend(MockBackend())
     program = parse("SELECT COUNT(*) FROM w WHERE place LIKE '%united kingdom'")
-    answer = execute_binder(program, records, backend, pool=[])
-    assert answer.display() == ["8"]
+    trace = run_program(program, records, backend, pool=[])
+    assert trace.answer.display() == ["8"]
     assert backend.calls == []
-    assert answer.values == denotation_to_answer(execute_sql(program, records)).values
+    assert trace.answer.values == denotation_to_answer(execute_sql(program, records)).values
+    assert trace.rewritten.root == program.root
 
 
 def test_execute_binder_nested_bottom_up():
@@ -211,7 +208,7 @@ def test_execute_binder_nested_bottom_up():
                   ["/*\nrow_id\tcol\touter?\n0\ti1\tyes\n1\ti2\tno\n*/"])
     backend = RecordingBackend(mock)
     program = parse('SELECT c FROM w WHERE f("outer?"; f("inner?"; c)) = \'yes\'')
-    answer = execute_binder(program, t, backend, pool=[], cfg=NO_DEMOS)
+    answer = run_program(program, t, backend, pool=[], cfg=NO_DEMOS).answer
     assert answer.display() == ["x1"]
     first, second = (req.prompt for req, _ in backend.calls)
     assert '"inner?"' in first and '"outer?"' in second
@@ -222,16 +219,16 @@ def test_execute_binder_partial_response_fills_nulls():
     t = make_table("n", ["c"], [["a"], ["b"], ["c"]])
     mock = MockBackend()
     mock.add_rule(r'"flag\?"', ["/*\nrow_id\tc\tflag?\n0\ta\tyes\n2\tc\tyes\n*/"])
-    answer = execute_binder(parse('SELECT COUNT(*) FROM w WHERE f("flag?"; c) = \'yes\''),
-                            t, mock, pool=[], cfg=NO_DEMOS)
+    answer = run_program(parse('SELECT COUNT(*) FROM w WHERE f("flag?"; c) = \'yes\''),
+                         t, mock, pool=[], cfg=NO_DEMOS).answer
     assert answer.display() == ["2"]  # missing row 1 is null, excluded by WHERE
 
 
 def test_execute_binder_wraps_failures():
     t = make_table("n", ["c"], [["a"]])
     with pytest.raises(ResolutionError) as exc:
-        execute_binder(parse('SELECT f("mystery?"; c) FROM w'), t, MockBackend(),
-                       pool=[], cfg=NO_DEMOS)
+        run_program(parse('SELECT f("mystery?"; c) FROM w'), t, MockBackend(),
+                    pool=[], cfg=NO_DEMOS)
     assert "mystery?" in str(exc.value)
 
 
@@ -247,3 +244,63 @@ def test_run_program_trace_contents(shirts):
     assert len(trace.resolutions) == 1
     assert trace.resolutions[0].prompt.startswith("Give a database as shown below:")
     assert not api_calls_bottom_up(trace.rewritten)
+
+
+# ---- one-pass resolution ----
+
+def catch_all_mock():
+    """Answers every map prompt with a two-row column and every val prompt with a value."""
+    return MockBackend([("regex", r"row by row", ["/*\nrow_id\tq\n0\t1\n1\t2\n*/"]),
+                        ("regex", r"", ["7"])])
+
+
+def corpus_table():
+    return make_table("t", ["member", "term", "place", "signed from", "player", "year",
+                            "win_team", "los_team", "shirt", "made_in", "num_of_orders"],
+                      [["ann", "3 years", "leeds", "fc a", "p1", "2001", "30", "12",
+                        "polo", "us", "15"],
+                       ["bob", "2 years", "paris", "fc b", "p2", "2002", "21", "20",
+                        "linen", "china", "32"]])
+
+
+CALL_PROGRAMS = [text for text in EXEMPLAR_PROGRAMS if api_calls_bottom_up(parse(text))]
+
+
+@pytest.mark.parametrize("text", CALL_PROGRAMS)
+def test_run_program_resolves_in_bottom_up_order(text):
+    program = parse(text)
+    calls = api_calls_bottom_up(assign_roles(program))
+    trace = run_program(program, corpus_table(), catch_all_mock(), pool=[], cfg=NO_DEMOS)
+    assert [r.call.question for r in trace.resolutions] == [c.question for c in calls]
+    for ordinal, res in enumerate(trace.resolutions):
+        assert res.generated_name.startswith(f"col_{ordinal}_")
+    assert not api_calls_bottom_up(trace.rewritten)
+
+
+def test_repeated_question_on_two_columns_resolves_twice():
+    program = parse('SELECT year FROM t WHERE f("Points?";win_team) - f("Points?";los_team) > 10')
+    trace = run_program(program, corpus_table(), catch_all_mock(), pool=[], cfg=NO_DEMOS)
+    win, los = trace.resolutions
+    assert win.generated_name != los.generated_name
+    assert "row_id\twin_team\n" in win.prompt and "row_id\tlos_team\n" in los.prompt
+
+
+def test_resolve_call_rejects_unsubstituted_nested_call():
+    t = make_table("n", ["c"], [["x1"], ["x2"]])
+    _, calls = tagged_calls('SELECT f("outer?"; f("inner?"; c)) FROM w')
+    backend = RecordingBackend(catch_all_mock())
+    with pytest.raises(EvalError):
+        resolve_call(calls[-1], t, backend, [], NO_DEMOS)
+    assert backend.calls == []
+
+
+def test_run_program_leaves_no_reference_cycles():
+    t = make_table("n", ["c"], [["x1"], ["x2"]])
+    program = parse('SELECT c FROM w WHERE f("outer?"; f("inner?"; c)) = \'1\'')
+    gc.collect()
+    gc.disable()
+    try:
+        run_program(program, t, catch_all_mock(), pool=[], cfg=NO_DEMOS)
+        assert gc.collect() == 0  # the working table is freed when the call returns
+    finally:
+        gc.enable()
