@@ -6,7 +6,7 @@ rewritten plain SQL deterministically, and majority-vote the answers.
 """
 
 from .backend import (Backend, CachingBackend, CompletionRequest, HttpBackend,
-                      MockBackend, NullBackend, RecordingBackend, approx_tokens,
+                      MockBackend, NullBackend, approx_tokens,
                       mock_from_fixtures, with_cache)
 from .engine import (Answer, Denotation, EMPTY_ANSWER, canonical_value,
                      denotation_to_answer, execute_sql)
@@ -26,8 +26,7 @@ from .prompts import (Exemplar, GenerationConfig, INSTRUCTIONS, load_exemplars,
 from .syntax import (ApiCall, Program, api_calls_bottom_up, assign_roles,
                      has_api_calls, parse, print_program, tokenize)
 from .table import (Cell, Column, Table, augment, linearize, load_table,
-                    normalize, project, save_csv, table_from_json)
-from .voting import (AnswerBiasedVote, Candidate, PlainVote, ProgramBiasedVote,
-                     VoteReport, VoteStrategy, strategy_from_name, vote)
+                    normalize, project, table_from_json)
+from .voting import STRATEGIES, Candidate, VoteReport, vote
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import BadResponse, FormatError, IoError, RateLimited, TransportError
+from .table import read_json, text_fields
 
 
 @dataclass(frozen=True)
@@ -140,44 +141,24 @@ class MockBackend(Backend):
 def mock_from_fixtures(path) -> MockBackend:
     """Load MockBackend rules from a JSON array of
     {"match": "exact"|"regex", "prompt_pattern": ..., "responses": [...]}."""
-    p = Path(path)
-    try:
-        entries = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise IoError(f"cannot read fixture file {p}: {e}")
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad JSON in {p.name}: {e}")
-    if not isinstance(entries, list):
-        raise FormatError(f"{p.name}: fixture file must be a JSON array")
+    name = Path(path).name
     mock = MockBackend()
-    for i, entry in enumerate(entries):
-        try:
-            match = entry["match"]
-            pattern = entry["prompt_pattern"]
-            responses = list(entry["responses"])
-        except (TypeError, KeyError) as e:
-            raise FormatError(f"{p.name}[{i}]: missing field {e}")
+    for i, entry in enumerate(read_json(path, "fixture file", array=True)):
+        where = f"{name}[{i}]"
+        match, pattern = text_fields(entry, ("match", "prompt_pattern"), where)
+        responses = entry.get("responses")
+        if not isinstance(responses, list):
+            raise FormatError(f"{where}: field 'responses' must be an array")
         if match == "exact":
             mock.add_exact(pattern, responses)
         elif match == "regex":
-            mock.add_rule(pattern, responses)
+            try:
+                mock.add_rule(pattern, responses)
+            except re.error as e:
+                raise FormatError(f"{where}: bad regex: {e}")
         else:
-            raise FormatError(f"{p.name}[{i}]: match must be 'exact' or 'regex', got {match!r}")
+            raise FormatError(f"{where}: match must be 'exact' or 'regex', got {match!r}")
     return mock
-
-
-class RecordingBackend(Backend):
-    """Wrapper that records every request/response pair, for tests and --trace."""
-
-    def __init__(self, inner: Backend):
-        self.inner = inner
-        self.identity = inner.identity
-        self.calls: list = []  # (CompletionRequest, responses)
-
-    def _complete(self, req: CompletionRequest) -> list:
-        responses = self.inner.complete(req)
-        self.calls.append((req, responses))
-        return responses
 
 
 class CachingBackend(Backend):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .backend import Backend, HttpBackend, NullBackend, mock_from_fixtures, with_cache
+from .backend import (Backend, CompletionRequest, HttpBackend, NullBackend,
+                      mock_from_fixtures, with_cache)
 from .engine import Answer
 from .errors import (BackendError, BudgetExhausted, ConfigError, FormatError,
                      IoError, LmSqlError, ParseError, ResolutionError)
@@ -23,8 +24,9 @@ from .metrics import JUDGES, evaluate_dataset
 from .prompts import (INSTRUCTIONS, GenerationConfig, load_exemplars,
                       parse_candidates, plan_parse_prompt, sample_candidates)
 from .syntax import Program, has_api_calls, parse, print_program
-from .table import Column, Table, load_table, normalize, table_from_json
-from .voting import Candidate, strategy_from_name, vote
+from .table import (Column, Table, load_table, normalize, read_json, table_from_json,
+                    text_fields)
+from .voting import STRATEGIES, Candidate, vote
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,7 +35,15 @@ EXIT_BACKEND = 4
 EXIT_SYNTAX = 5
 
 
-@dataclass
+_PATHS = ("dataset", "exemplars", "exec_demo_pool", "cache_dir")
+_BACKEND_VALUES = {"mock": (str, type(None)), "remote": dict, "none": object}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     backend: dict = field(default_factory=lambda: {"mock": None})
     dataset: Optional[str] = None
@@ -48,88 +58,115 @@ class RunConfig:
     instruction: str = INSTRUCTIONS["wikitq"]
 
     def __post_init__(self):
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        if len(self.backend) != 1:
+        """The one check of a run configuration, wherever its values came from."""
+        if not (isinstance(self.backend, dict) and len(self.backend) == 1):
             raise ConfigError("exactly one backend variant must be set")
+        (kind, value), = self.backend.items()
+        if kind not in _BACKEND_VALUES:
+            raise ConfigError(f"unknown backend kind {kind!r}")
+        if not isinstance(value, _BACKEND_VALUES[kind]):
+            raise ConfigError(f"bad value for backend {kind!r}: {value!r}")
+        if kind == "remote" and not all(isinstance(value.get(k, ""), str)
+                                        for k in ("endpoint", "model", "key_env")):
+            raise ConfigError("remote backend endpoint, model and key_env must be strings")
+        for name in _PATHS:
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path string")
+        if not isinstance(self.instruction, str):
+            raise ConfigError("instruction must be a string")
+        if not (isinstance(self.vote_strategy, str) and self.vote_strategy in STRATEGIES):
+            raise ConfigError(f"unknown vote strategy {self.vote_strategy!r} "
+                              f"(have: {sorted(STRATEGIES)})")
+        if not _is_int(self.seed):
+            raise ConfigError("seed must be an integer")
+        g, x = self.generation, self.execution
+        for name, value, least in (("parallelism", self.parallelism, 1),
+                                   ("generation.sampling_n", g.sampling_n, 1),
+                                   ("generation.num_shots", g.num_shots, 0),
+                                   ("generation.token_budget", g.token_budget, 0),
+                                   ("execution.num_demos", x.num_demos, 0)):
+            if not _is_int(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}")
+        for name, c, n in (("generation", g, g.sampling_n), ("execution", x, 1)):
+            try:  # the requests this run will send must be valid
+                CompletionRequest("", c.temperature, c.top_p, c.max_output_tokens, n, c.stop)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"bad {name} value: {e}")
 
 
-def _generation_from_dict(obj: dict) -> GenerationConfig:
-    obj = dict(obj)
+def _known_keys(obj, cls, what: str, extra=()) -> dict:
+    """A copy of the config object obj, whose keys must be fields of cls."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(obj) - {f.name for f in dc_fields(cls)} - set(extra)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(obj)
+
+
+def _generation_from_dict(obj) -> GenerationConfig:
+    obj = _known_keys(obj, GenerationConfig, "generation", extra=("dataset",))
     dataset = obj.pop("dataset", None)
     base = GenerationConfig.for_dataset(dataset) if dataset else GenerationConfig()
-    known = {f.name for f in dc_fields(GenerationConfig)}
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"unknown generation keys: {sorted(unknown)}")
     if "stop" in obj:
         obj["stop"] = tuple(obj["stop"])
     return replace(base, **obj)
 
 
 def load_run_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    base_dir = Path(".")
+    """The defaults, overridden by the config file's values (its paths are
+    relative to the file), overridden by the flags; RunConfig checks them."""
+    values: dict = {}
     if path:
         p = Path(path)
-        base_dir = p.parent
         try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-        except OSError as e:
-            raise IoError(f"cannot read config {p}: {e}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"bad JSON in config {p.name}: {e}")
+            raw = read_json(p, "config")
+        except FormatError as e:
+            raise ConfigError(str(e))
+        values = _known_keys(raw, RunConfig, "config")
+        for key in _PATHS:
+            if isinstance(values.get(key), str):
+                values[key] = str(p.parent / values[key])
+        backend = values.get("backend")
+        if isinstance(backend, dict) and isinstance(backend.get("mock"), str) and backend["mock"]:
+            values["backend"] = {**backend, "mock": str(p.parent / backend["mock"])}
         try:
-            if "backend" in raw:
-                cfg.backend = dict(raw["backend"])
-            for key in ("dataset", "exemplars", "exec_demo_pool", "cache_dir"):
-                if raw.get(key) is not None:
-                    cfg_path = (base_dir / raw[key])
-                    setattr(cfg, key, str(cfg_path))
-            if "generation" in raw:
-                cfg.generation = _generation_from_dict(raw["generation"])
-            if "execution" in raw:
-                cfg.execution = ExecutionConfig(**raw["execution"])
-            for key in ("vote_strategy", "parallelism", "seed", "instruction"):
-                if key in raw:
-                    setattr(cfg, key, raw[key])
+            if "generation" in values:
+                values["generation"] = _generation_from_dict(values["generation"])
+            if "execution" in values:
+                values["execution"] = ExecutionConfig(
+                    **_known_keys(values["execution"], ExecutionConfig, "execution"))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad config value: {e}")
-        if "mock" in cfg.backend and cfg.backend["mock"]:
-            cfg.backend = {"mock": str(base_dir / cfg.backend["mock"])}
-    # flag overrides
     if getattr(args, "backend", None):
         spec = args.backend
         if spec == "none":
-            cfg.backend = {"none": True}
+            values["backend"] = {"none": True}
         elif spec.startswith("mock:"):
-            cfg.backend = {"mock": spec[len("mock:"):]}
+            values["backend"] = {"mock": spec[len("mock:"):]}
         elif spec.startswith("remote:"):
-            cfg.backend = {"remote": {"endpoint": spec[len("remote:"):]}}
+            values["backend"] = {"remote": {"endpoint": spec[len("remote:"):]}}
         else:
             raise ConfigError(f"--backend must be mock:PATH, remote:URL or none, got {spec!r}")
-    for flag, key in (("exemplars", "exemplars"), ("demo_pool", "exec_demo_pool"),
-                      ("cache_dir", "cache_dir"), ("strategy", "vote_strategy")):
+    for flag, key in (("dataset", "dataset"), ("exemplars", "exemplars"),
+                      ("demo_pool", "exec_demo_pool"), ("cache_dir", "cache_dir"),
+                      ("strategy", "vote_strategy"), ("parallelism", "parallelism"),
+                      ("seed", "seed")):
         value = getattr(args, flag, None)
         if value is not None:
-            setattr(cfg, key, value)
-    for flag in ("parallelism", "seed"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, flag, value)
+            values[key] = value
     gen_overrides = {}
     if getattr(args, "n", None) is not None:
         gen_overrides["sampling_n"] = args.n
     if getattr(args, "temperature", None) is not None:
         gen_overrides["temperature"] = args.temperature
     if getattr(args, "dataset_style", None):
-        cfg.generation = GenerationConfig.for_dataset(args.dataset_style, **gen_overrides)
-        cfg.instruction = INSTRUCTIONS[args.dataset_style]
+        values["generation"] = GenerationConfig.for_dataset(args.dataset_style, **gen_overrides)
+        values["instruction"] = INSTRUCTIONS[args.dataset_style]
     elif gen_overrides:
-        cfg.generation = replace(cfg.generation, **gen_overrides)
-    if cfg.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
-    return cfg
+        values["generation"] = replace(values.get("generation", GenerationConfig()),
+                                       **gen_overrides)
+    return RunConfig(**values)
 
 
 def make_backend(cfg: RunConfig) -> Backend:
@@ -146,10 +183,8 @@ def make_backend(cfg: RunConfig) -> Backend:
         key_env = value.get("key_env", "LMSQL_API_KEY")
         backend = HttpBackend(endpoint, model=value.get("model", ""),
                               api_key=os.environ.get(key_env, ""))
-    elif kind == "none":
-        backend = NullBackend()
     else:
-        raise ConfigError(f"unknown backend kind {kind!r}")
+        backend = NullBackend()
     return with_cache(backend, cfg.cache_dir, seed=cfg.seed)
 
 
@@ -163,12 +198,13 @@ def _load_normalized_table(path: str) -> Table:
     return normalize(load_table(path))
 
 
-def _table_for_example(example: dict, dataset_dir: Path) -> Table:
+def _table_for_example(example: dict, dataset_dir: Path, where: str) -> Table:
     if "table" in example:
         return normalize(table_from_json(example["table"]))
     if "table_path" in example:
-        return _load_normalized_table(str(dataset_dir / example["table_path"]))
-    raise FormatError(f"example {example.get('id')!r} has neither table nor table_path")
+        path, = text_fields(example, ("table_path",), where)
+        return _load_normalized_table(str(dataset_dir / path))
+    raise FormatError(f"{where} has neither table nor table_path")
 
 
 def _read_jsonl(path: str) -> list:
@@ -251,10 +287,11 @@ def _run_example(example: dict, dataset_dir: Path, cfg: RunConfig,
     """Parse, execute and vote one example. Each distinct candidate text runs
     once: the backend answers identical requests identically within a run,
     so its duplicates share the outcome and keep their own index."""
-    record = {"id": example.get("id")}
+    record = {"id": example.get("id") if isinstance(example, dict) else None}
+    where = f"example {record['id']!r}"
     try:
-        table = _table_for_example(example, dataset_dir)
-        question = example["question"]
+        question, = text_fields(example, ("question",), where)
+        table = _table_for_example(example, dataset_dir, where)
         plan = plan_parse_prompt(cfg.instruction, exemplars, table,
                                  example.get("title", "w"), question, cfg.generation)
         texts = sample_candidates(backend, plan.text, cfg.generation)
@@ -267,7 +304,7 @@ def _run_example(example: dict, dataset_dir: Path, cfg: RunConfig,
                                          cfg.execution),
             first.values())))
         cands = [replace(outcomes[text], index=i) for i, text in enumerate(texts)]
-        answer, report = vote(cands, strategy_from_name(cfg.vote_strategy))
+        answer, report = vote(cands, cfg.vote_strategy)
         record["candidates"] = [
             {
                 "program": texts[c.index],
@@ -288,8 +325,6 @@ def _run_example(example: dict, dataset_dir: Path, cfg: RunConfig,
 
 def cmd_run(args) -> int:
     cfg = load_run_config(args.config, args)
-    if args.dataset:
-        cfg.dataset = args.dataset
     if not cfg.dataset:
         raise ConfigError("run needs a dataset (positional or config)")
     backend = make_backend(cfg)
@@ -388,7 +423,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--cache-dir", dest="cache_dir", help="response cache directory")
     sp.add_argument("--n", type=int, help="candidate programs to sample")
     sp.add_argument("--temperature", type=float)
-    sp.add_argument("--strategy", choices=["plain", "answer-biased", "program-biased"])
+    sp.add_argument("--strategy", choices=sorted(STRATEGIES))
     sp.add_argument("--dataset-style", dest="dataset_style",
                     choices=sorted(INSTRUCTIONS), help="generation defaults + instruction preset")
     sp.add_argument("--parallelism", type=int)

@@ -9,21 +9,21 @@ appended to the working table so later (outer) calls can consume it.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Optional
 
 from .backend import Backend, CompletionRequest
 from .engine import Answer, denotation_to_answer, execute_sql
-from .errors import EvalError, FormatError, IoError, MalformedResponse, ResolutionError
+from .errors import EvalError, FormatError, MalformedResponse, ResolutionError
 from .syntax import (ApiCall, ColumnRef, Literal, Program, api_calls_bottom_up,
                      assign_roles, map_children)
-from .table import ROW_ID, Column, Table, augment, cell_to_text, project
+from .table import (ROW_ID, Column, Table, augment, cell_to_text, project,
+                    read_json, text_fields)
 
 
 @dataclass(frozen=True)
@@ -89,51 +89,34 @@ def _table_block(sub: Table) -> str:
     return "\n".join(lines)
 
 
-def _demo_block(demo: ExecDemo) -> str:
+def _database_block(title: str, table_text: str, question_line: str) -> str:
+    """The frame every execution prompt block shares: a table, then a question."""
     return (
         "Give a database as shown below:\n"
-        f"Table: {demo.title}\n"
+        f"Table: {title}\n"
         "/*\n"
-        f"{demo.column_block}\n"
+        f"{table_text}\n"
         "*/\n"
-        f'Q: Answer question "{demo.question}" row by row.\n'
-        "QA map@ output:\n"
-        "/*\n"
-        f"{demo.answer_block}\n"
-        "*/"
+        f"{question_line}"
     )
 
 
-def _query_block(question: str, sub: Table) -> str:
-    return (
-        "Give a database as shown below:\n"
-        f"Table: {sub.title}\n"
-        "/*\n"
-        f"{_table_block(sub)}\n"
-        "*/\n"
-        f'Q: Answer question "{question}" row by row.\n'
-        "QA map@ output:"
-    )
+def _map_block(title: str, table_text: str, question: str) -> str:
+    return _database_block(title, table_text,
+                           f'Q: Answer question "{question}" row by row.\nQA map@ output:')
 
 
 def build_map_prompt(question: str, sub: Table, demos: list) -> str:
     """Demos first, then the query block; ends right after the output marker."""
-    blocks = [_demo_block(d) for d in demos]
-    blocks.append(_query_block(question, sub))
+    blocks = [_map_block(d.title, d.column_block, d.question) + f"\n/*\n{d.answer_block}\n*/"
+              for d in demos]
+    blocks.append(_map_block(sub.title, _table_block(sub), question))
     return "\n\n".join(blocks) + "\n"
 
 
 def build_val_prompt(question: str, sub: Table) -> str:
     """Single-value variant: same table block, then a bare QA line."""
-    return (
-        "Give a database as shown below:\n"
-        f"Table: {sub.title}\n"
-        "/*\n"
-        f"{_table_block(sub)}\n"
-        "*/\n"
-        f"Q: {question}\n"
-        "A:"
-    )
+    return _database_block(sub.title, _table_block(sub), f"Q: {question}\nA:")
 
 
 # ---- response parsing ----
@@ -224,36 +207,17 @@ def retrieve_exec_demos(question: str, pool: list, k: int) -> list:
 # ---- pool files ----
 
 def load_exec_demos(path) -> list:
-    p = Path(path)
-    try:
-        entries = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise IoError(f"cannot read demo pool {p}: {e}")
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad JSON in {p.name}: {e}")
-    demos = []
-    for i, entry in enumerate(entries):
-        try:
-            demos.append(ExecDemo(entry["title"], entry["column_block"],
-                                  entry["question"], entry["answer_block"]))
-        except (TypeError, KeyError) as e:
-            raise FormatError(f"{p.name}[{i}]: missing field {e}")
-    return demos
+    """JSON array of {title, column_block, question, answer_block}."""
+    name = Path(path).name
+    return [ExecDemo(*text_fields(entry, ("title", "column_block", "question", "answer_block"),
+                                  f"{name}[{i}]"))
+            for i, entry in enumerate(read_json(path, "demo pool", array=True))]
 
 
-_default_pool: Optional[list] = None
-
-
+@cache
 def default_exec_demos() -> list:
-    """The packaged execution-stage demo pool."""
-    global _default_pool
-    if _default_pool is None:
-        from importlib import resources
-        with resources.files("lmsql").joinpath("data/exec_demos.json").open("r", encoding="utf-8") as fh:
-            entries = json.load(fh)
-        _default_pool = [ExecDemo(e["title"], e["column_block"], e["question"], e["answer_block"])
-                         for e in entries]
-    return _default_pool
+    """The packaged execution-stage demo pool, loaded once per process."""
+    return load_exec_demos(Path(__file__).parent / "data" / "exec_demos.json")
 
 
 # ---- resolution ----

@@ -10,16 +10,17 @@ rows are truncated instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .backend import Backend, CompletionRequest, approx_tokens
-from .errors import BudgetExhausted, FormatError, IoError, ParseError
+from .errors import BudgetExhausted, ParseError
 from .syntax import parse
-from .table import Table, linearize, load_table, normalize, table_from_json
+from .table import (Table, linearize, load_table, normalize, read_json,
+                    table_from_json, text_fields)
 
 PROGRAM_SLOT = "Binder:"
+EXEMPLAR_ROWS = 3  # sample rows per exemplar table, as linearize announces
 
 INSTRUCTIONS = {
     "wikitq": "Generate SQL given the question and table to answer the question correctly.",
@@ -44,7 +45,6 @@ class GenerationConfig:
     stop: tuple = ("\n\n",)
     num_shots: int = 14
     token_budget: int = 8000
-    prompt_rows: int = 3
 
     @classmethod
     def for_dataset(cls, name: str, **overrides) -> "GenerationConfig":
@@ -75,8 +75,8 @@ class PromptPlan:
         return approx_tokens(self.text)
 
 
-def _exemplar_block(ex: Exemplar, rows: int) -> str:
-    return (f"{linearize(ex.table, ex.title, rows, full=False)}\n"
+def _exemplar_block(ex: Exemplar) -> str:
+    return (f"{linearize(ex.table, ex.title, EXEMPLAR_ROWS, full=False)}\n"
             f"Q: {ex.question}\n"
             f"{PROGRAM_SLOT} {ex.program_text}")
 
@@ -95,7 +95,7 @@ def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
 
     def assemble(k: int, rows: int) -> str:
         blocks = [instruction]
-        blocks.extend(_exemplar_block(ex, cfg.prompt_rows) for ex in shots[:k])
+        blocks.extend(_exemplar_block(ex) for ex in shots[:k])
         blocks.append(_inference_block(table, title, question, rows))
         return "\n\n".join(blocks)
 
@@ -146,24 +146,15 @@ def load_exemplars(path) -> list:
     """JSON array of {title, table_path | table, question, program}; table
     paths resolve relative to the file."""
     p = Path(path)
-    try:
-        entries = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise IoError(f"cannot read exemplar file {p}: {e}")
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad JSON in {p.name}: {e}")
     out = []
-    for i, entry in enumerate(entries):
-        try:
-            title = entry["title"]
-            question = entry["question"]
-            program = entry["program"]
-            if "table" in entry:
-                t = table_from_json(entry["table"], title=title)
-            else:
-                t = load_table((p.parent / entry["table_path"]).resolve())
-        except (TypeError, KeyError) as e:
-            raise FormatError(f"{p.name}[{i}]: missing field {e}")
+    for i, entry in enumerate(read_json(p, "exemplar file", array=True)):
+        where = f"{p.name}[{i}]"
+        title, question, program = text_fields(entry, ("title", "question", "program"), where)
+        if "table" in entry:
+            t = table_from_json(entry["table"], title=title)
+        else:
+            table_path, = text_fields(entry, ("table_path",), where)
+            t = load_table((p.parent / table_path).resolve())
         parse(program)  # exemplar programs must be well-formed
         out.append(Exemplar(normalize(t), title, question, program))
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import LexError, ParseError, RoleAmbiguity
@@ -194,6 +195,14 @@ class Query:
 class Program:
     root: Query
     source_text: str = field(default="", compare=False, repr=False)
+
+    @cached_property
+    def calls(self) -> tuple:
+        """All ApiCall nodes, arguments before the calls that use them,
+        siblings in document order; collected once per program."""
+        out: list = []
+        _collect_calls(self.root, out)
+        return tuple(out)
 
 
 Expr = Union[Literal, ColumnRef, Star, Unary, Binary, InList, IsNull,
@@ -676,13 +685,11 @@ def _collect_calls(node, out: list) -> None:
 def api_calls_bottom_up(p: Program) -> list:
     """All ApiCall nodes, arguments before the calls that use them, siblings
     in document order."""
-    out: list = []
-    _collect_calls(p.root, out)
-    return out
+    return list(p.calls)
 
 
 def has_api_calls(p: Program) -> bool:
-    return bool(api_calls_bottom_up(p))
+    return bool(p.calls)
 
 
 # ---- role assignment ----
@@ -718,5 +725,8 @@ def _assign(node, scalar_ctx: bool = False):
 
 def assign_roles(p: Program) -> Program:
     """Tag every model call as a per-row column (map) or single value (val)
-    based on its position; f_col/f_val surface forms win."""
+    based on its position; f_col/f_val surface forms win. A program without
+    calls comes back as the same object."""
+    if not p.calls:
+        return p
     return Program(_assign(p.root), p.source_text)

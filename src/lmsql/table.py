@@ -187,6 +187,35 @@ def table_from_json(obj: dict, title: Optional[str] = None) -> Table:
     return _table_from_grid(title or str(obj.get("title", "")), header, rows)
 
 
+def read_json(path, what: str, array: bool = False):
+    """Parse one JSON input file. An unreadable file is an IoError; bad JSON,
+    and with array=True anything but a JSON array, is a FormatError."""
+    p = Path(path)
+    try:
+        value = json.loads(p.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise IoError(f"cannot read {what} {p}: {e}")
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise FormatError(f"bad JSON in {p.name}: {e}")
+    if array and not isinstance(value, list):
+        raise FormatError(f"{p.name}: {what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def text_fields(entry, names: tuple, where: str) -> tuple:
+    """The values of the named fields of one input object, each a string; an
+    entry that is not an object, or a field that is missing or not a string,
+    is a FormatError naming `where`."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"{where}: expected an object, got {type(entry).__name__}")
+    for name in names:
+        if name not in entry:
+            raise FormatError(f"{where}: missing field {name!r}")
+        if not isinstance(entry[name], str):
+            raise FormatError(f"{where}: field {name!r} must be a string")
+    return tuple(entry[name] for name in names)
+
+
 def load_table(path, format: Optional[str] = None) -> Table:
     """Load an un-normalized table from CSV, TSV or JSON. Column order is
     preserved; all CSV/TSV cells stay text until normalize()."""
@@ -194,36 +223,19 @@ def load_table(path, format: Optional[str] = None) -> Table:
     fmt = format or {".csv": "csv", ".tsv": "tsv", ".json": "json"}.get(p.suffix.lower())
     if fmt not in ("csv", "tsv", "json"):
         raise FormatError(f"unknown table format {fmt!r} for {p.name}")
+    if fmt == "json":
+        return table_from_json(read_json(p, "table"))
     try:
         raw = p.read_text(encoding="utf-8")
     except OSError as e:
         raise IoError(f"cannot read {p}: {e}")
-    title = p.stem
-    if fmt == "json":
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"bad JSON in {p.name}: {e}")
-        return table_from_json(obj)
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{p.name} is not UTF-8 text: {e}")
     delim = "," if fmt == "csv" else "\t"
     rows = list(csv.reader(raw.splitlines(), delimiter=delim))
     if not rows:
         raise FormatError(f"{p.name} is empty")
-    return _table_from_grid(title, rows[0], rows[1:])
-
-
-def save_csv(t: Table, path) -> None:
-    """Serialize with the same cell rendering linearize uses (round-trips
-    through load_table + normalize)."""
-    p = Path(path)
-    try:
-        with p.open("w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(t.column_names())
-            for row in t.rows():
-                w.writerow([cell_to_text(v) for v in row])
-    except OSError as e:
-        raise IoError(f"cannot write {p}: {e}")
+    return _table_from_grid(p.stem, rows[0], rows[1:])
 
 
 # ---- normalization ----

@@ -4,13 +4,27 @@ from pathlib import Path
 
 import pytest
 
-from lmsql import Table, load_table, normalize, table_from_json
+from lmsql import Backend, CompletionRequest, Table, load_table, normalize, table_from_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / name
+
+
+class RecordingBackend(Backend):
+    """Wrapper that records every request/response pair."""
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.identity = inner.identity
+        self.calls: list = []  # (CompletionRequest, responses)
+
+    def _complete(self, req: CompletionRequest) -> list:
+        responses = self.inner.complete(req)
+        self.calls.append((req, responses))
+        return responses
 
 
 def make_table(title: str, header, rows) -> Table:

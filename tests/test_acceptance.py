@@ -8,8 +8,7 @@ import random
 import time
 from pathlib import Path
 
-from lmsql import (Answer, AnswerBiasedVote, Candidate, MockBackend, PlainVote,
-                   ProgramBiasedVote, RecordingBackend, build_map_prompt,
+from lmsql import (Answer, Candidate, MockBackend, build_map_prompt,
                    default_exec_demos, denotation_to_answer, execute_sql,
                    linearize, load_table, normalize, official_em, parse,
                    print_program, run_program, semantic_em, string_em, vote)
@@ -18,7 +17,7 @@ from lmsql.cli import main as cli_main
 from lmsql.prompts import GenerationConfig, Exemplar, plan_parse_prompt
 from lmsql.syntax import api_calls_bottom_up
 
-from conftest import fixture_path, make_table
+from conftest import RecordingBackend, fixture_path, make_table
 from corpus import EXEMPLAR_PROGRAMS
 from randgen import make_random_table, random_query, rows_match, sqlite_denotation
 
@@ -105,17 +104,17 @@ def test_c05_vote_arithmetic():
         return Candidate(i, binder if api else plain, Answer(tuple(values)), api)
 
     answer, rep = vote([cand(0, [1.0]), cand(1, [0.0]), cand(2, [0.0]), cand(3, [0.0])],
-                       AnswerBiasedVote())
+                       "answer-biased")
     tally = {g.key: g.weight for g in rep.groups}
     assert answer.display() == ["1"] and tally == {"1": 4, "0": 3}
 
     cands = [cand(0, ["x"], api=True), cand(1, ["x"], api=True)]
     cands += [cand(i, ["y"]) for i in range(2, 7)]
-    answer, rep = vote(cands, ProgramBiasedVote())
+    answer, rep = vote(cands, "program-biased")
     tally = {g.key: g.weight for g in rep.groups}
     assert answer.display() == ["x"] and tally == {"x": 20, "y": 5}
 
-    answer, _ = vote([cand(0, ["a"]), cand(1, ["b"]), cand(2, ["c"])], PlainVote())
+    answer, _ = vote([cand(0, ["a"]), cand(1, ["b"]), cand(2, ["c"])], "plain")
     assert answer.display() == ["a"]
     report(5, "answer-biased {1:4,0:3}, program-biased {x:20,y:5}, plain tie to candidate 0")
 

@@ -14,9 +14,11 @@ import pytest
 
 import lmsql
 from lmsql import (Backend, BadResponse, CompletionRequest, HttpBackend, MockBackend,
-                   RateLimited, RecordingBackend, TransportError, approx_tokens,
+                   RateLimited, TransportError, approx_tokens,
                    mock_from_fixtures, with_cache)
 from lmsql.errors import FormatError
+
+from conftest import RecordingBackend
 
 
 def req(prompt="p", **kw):
@@ -83,9 +85,14 @@ def test_fixture_file_loading(tmp_path):
     assert mock.complete(req("hello")) == ["world"]
     assert mock.complete(req("a number here")) == ["got m"]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps([{"match": "sometimes", "prompt_pattern": "x", "responses": []}]))
-    with pytest.raises(FormatError):
-        mock_from_fixtures(bad)
+    for entry in ({"match": "sometimes", "prompt_pattern": "x", "responses": []},
+                  {"match": "regex", "prompt_pattern": "(", "responses": []},
+                  {"match": "exact", "prompt_pattern": 5, "responses": []},
+                  {"match": "exact", "prompt_pattern": "x", "responses": "yes"},
+                  "not an object"):
+        bad.write_text(json.dumps([entry]))
+        with pytest.raises(FormatError, match=r"bad\.json\[0\]"):
+            mock_from_fixtures(bad)
 
 
 def test_cache_memoizes(tmp_path):

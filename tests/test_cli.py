@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from lmsql import GenerationConfig, MockBackend, RecordingBackend, mock_from_fixtures, with_cache
+from lmsql import GenerationConfig, MockBackend, mock_from_fixtures, with_cache
 from lmsql import cli
 from lmsql.cli import RunConfig, main
 
-from conftest import fixture_path
+from conftest import RecordingBackend, fixture_path
 
 FIG1 = fixture_path("fig1")
 SHIRTS = str(fixture_path("shirts.csv"))
@@ -258,3 +258,56 @@ def test_integer_limit_reply_still_applies():
     programs = ['SELECT name FROM w ORDER BY score DESC LIMIT f("how many to keep?"; name)']
     record = _run_one(programs, [("regex", r"Q: how many to keep\?", [" 2 "])])
     assert record["candidates"][0]["answer"] == ["bob", "cy"]
+
+
+def _fig1_config(**changes) -> dict:
+    config = json.loads((FIG1 / "config.json").read_text())
+    config.update(backend={"mock": str(FIG1 / "mock.json")},
+                  exemplars=str(FIG1 / "exemplars.json"))
+    config.update(changes)
+    return config
+
+
+POOL_ENTRY = {"title": "t", "column_block": "a", "question": "q?", "answer_block": "a\tb"}
+
+
+@pytest.mark.parametrize("config, files, code", [
+    ({"vote_strategy": "majority"}, {}, 2),
+    ({"parallelism": "4"}, {}, 2),
+    ({"shots": 2}, {}, 2),
+    ("[1, 2]", {}, 2),
+    ({"exemplars": "bad.json"}, {"bad.json": "5"}, 3),
+    ({"exec_demo_pool": "bad.json"}, {"bad.json": "5"}, 3),
+    ({"exec_demo_pool": "bad.json"}, {"bad.json": json.dumps([dict(POOL_ENTRY, title=5)])}, 3),
+    ({"backend": {"remote": {"endpoint": "http://127.0.0.1:9", "key_env": 5}}}, {}, 2),
+], ids=["unknown-strategy", "parallelism-text", "unknown-key", "config-array",
+        "exemplars-not-array", "pool-not-array", "pool-numeric-title", "remote-key-env-number"])
+def test_bad_run_input_ends_with_one_line_error(tmp_path, capsys, config, files, code):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config if isinstance(config, str) else json.dumps(_fig1_config(**config)))
+    results = tmp_path / "results.jsonl"
+    got, _, err = run_cli(capsys, "run", str(FIG1 / "dataset.jsonl"),
+                          "--config", str(config_path), "-o", str(results))
+    assert got == code
+    assert err.startswith("lmsql: ") and err.count("\n") == 1
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([1, 2], "example None: expected an object, got list"),
+    ({"id": "q", "table_path": SHIRTS}, "example 'q': missing field 'question'"),
+], ids=["not-an-object", "no-question"])
+def test_bad_example_fails_only_its_record(tmp_path, capsys, bad, error):
+    good = json.loads((FIG1 / "dataset.jsonl").read_text())
+    good["table_path"] = SHIRTS
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(e) + "\n" for e in (good, bad, good)))
+    results = tmp_path / "results.jsonl"
+    code, _, _ = run_cli(capsys, "run", str(dataset), "--config", str(FIG1 / "config.json"),
+                         "-o", str(results))
+    assert code == 0
+    first, middle, last = (json.loads(line) for line in results.read_text().splitlines())
+    assert first == last and first["final_answer"] == ["linen shirt, pure cotton"]
+    assert middle["error"] == error and middle["final_answer"] == []

@@ -4,16 +4,16 @@ import gc
 
 import pytest
 
-from lmsql import (CompletionRequest, EvalError, ExecDemo, ExecutionConfig,
-                   MalformedResponse, MockBackend, RecordingBackend,
-                   ResolutionError, build_map_prompt, build_val_prompt,
+from lmsql import (Answer, CompletionRequest, EvalError, ExecDemo, ExecutionConfig,
+                   MalformedResponse, MockBackend, NullBackend, ResolutionError, build_map_prompt, build_val_prompt,
                    default_exec_demos, execute_sql, denotation_to_answer,
                    ngram_similarity, parse, parse_map_response, resolve_call,
                    retrieve_exec_demos, run_program)
+from lmsql import cli, syntax
 from lmsql.interp import _fields
 from lmsql.syntax import api_calls_bottom_up, assign_roles
 
-from conftest import fixture_path, make_table
+from conftest import RecordingBackend, fixture_path, make_table
 from corpus import EXEMPLAR_PROGRAMS
 
 NO_DEMOS = ExecutionConfig(num_demos=0)
@@ -275,6 +275,23 @@ def test_run_program_resolves_in_bottom_up_order(text):
     for ordinal, res in enumerate(trace.resolutions):
         assert res.generated_name.startswith(f"col_{ordinal}_")
     assert not api_calls_bottom_up(trace.rewritten)
+
+
+@pytest.mark.parametrize("text", [t for t in EXEMPLAR_PROGRAMS if t not in CALL_PROGRAMS])
+def test_call_free_candidate_collects_its_calls_once(text, monkeypatch):
+    collections = []  # the output list of each top-level collection
+
+    def counting(node, out):
+        if not any(out is seen for seen in collections):
+            collections.append(out)
+        collect(node, out)
+    collect = syntax._collect_calls
+    monkeypatch.setattr(syntax, "_collect_calls", counting)
+    program = parse(text)
+    cand = cli._execute_candidate(0, program, corpus_table(), NullBackend(), [], NO_DEMOS)
+    assert isinstance(cand.answer, Answer) and not cand.has_api_call
+    assert len(collections) <= 1
+    assert assign_roles(program) is program
 
 
 def test_repeated_question_on_two_columns_resolves_twice():
