@@ -49,9 +49,14 @@ class CompletionRequest:
             raise ValueError("top_p must be in (0, 1]")
 
 
+CHARS_PER_TOKEN = 4
+
+
 def approx_tokens(text: str) -> int:
-    """Deterministic token-count approximation used for budget checks."""
-    return math.ceil(len(text) / 4)
+    """Deterministic token-count approximation used for budget checks: a
+    text fits a budget of b tokens iff it has at most b * CHARS_PER_TOKEN
+    characters."""
+    return math.ceil(len(text) / CHARS_PER_TOKEN)
 
 
 def truncate_at_stop(text: str, stop) -> str:

@@ -198,30 +198,61 @@ def _load_normalized_table(path: str) -> Table:
     return normalize(load_table(path))
 
 
-def _table_for_example(example: dict, dataset_dir: Path, where: str) -> Table:
+def _table_for_example(example: dict, dataset_dir: Path, tables: dict,
+                       where: str) -> Table:
+    """The example's normalized table. A table_path is loaded once per
+    `tables`, which maps each path resolved against dataset_dir to its Table;
+    an inline table is built anew each time."""
     if "table" in example:
         return normalize(table_from_json(example["table"]))
     if "table_path" in example:
         path, = text_fields(example, ("table_path",), where)
-        return _load_normalized_table(str(dataset_dir / path))
+        key = dataset_dir / path
+        if key not in tables:
+            tables[key] = _load_normalized_table(str(key))
+        return tables[key]
     raise FormatError(f"{where} has neither table nor table_path")
 
 
 def _read_jsonl(path: str) -> list:
+    """(where, value) for each non-blank line, where naming the file and line."""
     p = Path(path)
     try:
         lines = p.read_text(encoding="utf-8").splitlines()
     except OSError as e:
         raise IoError(f"cannot read {p}: {e}")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{p.name} is not UTF-8 text: {e}")
     records = []
     for i, line in enumerate(lines):
         if not line.strip():
             continue
+        where = f"{p.name} line {i + 1}"
         try:
-            records.append(json.loads(line))
+            records.append((where, json.loads(line)))
         except json.JSONDecodeError as e:
-            raise FormatError(f"{p.name} line {i + 1}: {e}")
+            raise FormatError(f"{where}: {e}")
     return records
+
+
+def _eval_records(path: str, answer_key: str, with_question: bool = False) -> dict:
+    """id -> (answer values, question) for each line of a results or gold
+    file; the question is read only with_question, and is "" if absent."""
+    out = {}
+    for where, r in _read_jsonl(path):
+        if not isinstance(r, dict):
+            raise FormatError(f"{where}: expected an object, got {type(r).__name__}")
+        rid, values = r.get("id"), r.get(answer_key, [])
+        question = r.get("question", "") if with_question else ""
+        if isinstance(rid, (list, dict)):
+            raise FormatError(f"{where}: field 'id' must be a string or a number")
+        if not isinstance(values, list):
+            raise FormatError(f"{where}: field {answer_key!r} must be a list, "
+                              f"got {type(values).__name__}")
+        if not isinstance(question, str):
+            raise FormatError(f"{where}: field 'question' must be a string")
+        out[rid] = (values, question)
+    return out
 
 
 # ---- commands ----
@@ -282,16 +313,17 @@ def cmd_exec(args) -> int:
     return EXIT_OK
 
 
-def _run_example(example: dict, dataset_dir: Path, cfg: RunConfig,
+def _run_example(example: dict, dataset_dir: Path, tables: dict, cfg: RunConfig,
                  backend: Backend, exemplars: list, pool, executor: Executor) -> dict:
     """Parse, execute and vote one example. Each distinct candidate text runs
     once: the backend answers identical requests identically within a run,
-    so its duplicates share the outcome and keep their own index."""
+    so its duplicates share the outcome and keep their own index. `tables`
+    is the run's memo of loaded tables (see _table_for_example)."""
     record = {"id": example.get("id") if isinstance(example, dict) else None}
     where = f"example {record['id']!r}"
     try:
         question, = text_fields(example, ("question",), where)
-        table = _table_for_example(example, dataset_dir, where)
+        table = _table_for_example(example, dataset_dir, tables, where)
         plan = plan_parse_prompt(cfg.instruction, exemplars, table,
                                  example.get("title", "w"), question, cfg.generation)
         texts = sample_candidates(backend, plan.text, cfg.generation)
@@ -332,15 +364,16 @@ def cmd_run(args) -> int:
     if not exemplars:
         raise ConfigError("run needs an exemplar file")
     pool = _load_pool(cfg)
-    examples = _read_jsonl(cfg.dataset)
+    examples = [example for _, example in _read_jsonl(cfg.dataset)]
     dataset_dir = Path(cfg.dataset).parent
     out_path = Path(args.output) if args.output else Path("results.jsonl")
+    tables: dict = {}  # Tables are immutable and examples run one at a time
     try:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as executor, \
                 out_path.open("w", encoding="utf-8") as fh:
             for example in examples:
-                record = _run_example(example, dataset_dir, cfg, backend, exemplars,
-                                      pool, executor)
+                record = _run_example(example, dataset_dir, tables, cfg, backend,
+                                      exemplars, pool, executor)
                 fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
     except OSError as e:
         raise IoError(f"cannot write {out_path}: {e}")
@@ -349,16 +382,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    results = {r.get("id"): r for r in _read_jsonl(args.results)}
-    golds = {r.get("id"): r for r in _read_jsonl(args.gold)}
+    results = _eval_records(args.results, "final_answer")
+    golds = _eval_records(args.gold, "gold", with_question=True)
     if set(results) != set(golds):
         missing = set(results) ^ set(golds)
         raise IoError(f"results and gold ids do not align (mismatched: {sorted(missing, key=str)[:5]})")
-    triples = []
-    for rid in golds:
-        pred = Answer(tuple(results[rid].get("final_answer", [])))
-        gold = Answer(tuple(golds[rid].get("gold", [])))
-        triples.append((pred, gold, golds[rid].get("question", "")))
+    triples = [(Answer(tuple(results[rid][0])), Answer(tuple(gold)), question)
+               for rid, (gold, question) in golds.items()]
     judges = list(JUDGES) if args.all else [args.judge]
     per_example = None
     for name in judges:

@@ -22,7 +22,7 @@ from .engine import Answer, denotation_to_answer, execute_sql
 from .errors import EvalError, FormatError, MalformedResponse, ResolutionError
 from .syntax import (ApiCall, ColumnRef, Literal, Program, api_calls_bottom_up,
                      assign_roles, map_children)
-from .table import (ROW_ID, Column, Table, augment, cell_to_text, project,
+from .table import (ROW_ID, Column, Table, augment, linearize_row, project,
                     read_json, text_fields)
 
 
@@ -84,8 +84,7 @@ def _fields(line: str) -> list:
 
 def _table_block(sub: Table) -> str:
     lines = ["\t".join(sub.column_names())]
-    for row in sub.rows():
-        lines.append("\t".join(cell_to_text(v) for v in row))
+    lines.extend(linearize_row(row) for row in sub.rows())
     return "\n".join(lines)
 
 

@@ -5,7 +5,9 @@ The prompt is an instruction line, one block per exemplar (schema + three
 sample rows + question + program), and the inference example rendered with
 the full table and an empty program slot. Exemplars are dropped from the
 tail until the prompt fits the budget; if none are left, inference-table
-rows are truncated instead.
+rows are truncated instead. The budget check reads only lengths
+(approx_tokens), so the planner measures the pieces, rendering inference
+rows only until they fill the budget, and builds the text once.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .backend import Backend, CompletionRequest, approx_tokens
+from .backend import CHARS_PER_TOKEN, Backend, CompletionRequest, approx_tokens
 from .errors import BudgetExhausted, ParseError
 from .syntax import parse
-from .table import (Table, linearize, load_table, normalize, read_json,
-                    table_from_json, text_fields)
+from .table import (Table, linearize, linearize_frame, linearize_row, load_table,
+                    normalize, read_json, table_from_json, text_fields)
 
 PROGRAM_SLOT = "Binder:"
 EXEMPLAR_ROWS = 3  # sample rows per exemplar table, as linearize announces
@@ -75,49 +77,47 @@ class PromptPlan:
         return approx_tokens(self.text)
 
 
+_SEP = "\n\n"  # between the instruction and each block
+
+
 def _exemplar_block(ex: Exemplar) -> str:
     return (f"{linearize(ex.table, ex.title, EXEMPLAR_ROWS, full=False)}\n"
             f"Q: {ex.question}\n"
             f"{PROGRAM_SLOT} {ex.program_text}")
 
 
-def _inference_block(table: Table, title: str, question: str, rows: int) -> str:
-    return (f"{linearize(table, title, rows, full=True)}\n"
-            f"Q: {question}\n"
-            f"{PROGRAM_SLOT} ")
-
-
 def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
                       title: str, question: str,
                       cfg: GenerationConfig = GenerationConfig()) -> PromptPlan:
-    """Assemble the prompt, shrinking shots first and inference rows second."""
-    shots = list(exemplars[:cfg.num_shots])
-
-    def assemble(k: int, rows: int) -> str:
-        blocks = [instruction]
-        blocks.extend(_exemplar_block(ex) for ex in shots[:k])
-        blocks.append(_inference_block(table, title, question, rows))
-        return "\n\n".join(blocks)
-
-    full_rows = table.row_count
-    for k in range(len(shots), -1, -1):
-        text = assemble(k, full_rows)
-        if approx_tokens(text) <= cfg.token_budget:
-            return PromptPlan(text, k, full_rows)
-    # zero shots still too big: cut inference rows (largest fitting count)
-    lo, hi, best = 0, full_rows - 1, None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if approx_tokens(assemble(0, mid)) <= cfg.token_budget:
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    if best is None:
+    """Assemble the prompt, shrinking shots first and inference rows second:
+    the most leading exemplars that fit beside the whole table, or, if the
+    whole table does not fit alone, no exemplars and its most leading rows."""
+    head, foot = linearize_frame(table, title, full=True)
+    foot += f"\nQ: {question}\n{PROGRAM_SLOT} "
+    # characters left for inference rows and exemplar blocks
+    room = (cfg.token_budget * CHARS_PER_TOKEN
+            - len(instruction) - len(_SEP) - len(head) - len(foot))
+    if room < 0:
         raise BudgetExhausted(
             f"prompt exceeds the {cfg.token_budget}-token budget even with no "
             f"exemplars and no inference rows")
-    return PromptPlan(assemble(0, best), 0, best)
+    rows = []
+    for row in table.rows():
+        line = "\n" + linearize_row(row)
+        room -= len(line)
+        if room < 0:
+            break
+        rows.append(line)
+    blocks = []
+    if room >= 0:  # the whole table fits: add shots while they fit
+        for ex in exemplars[:cfg.num_shots]:
+            block = _SEP + _exemplar_block(ex)
+            room -= len(block)
+            if room < 0:
+                break
+            blocks.append(block)
+    text = "".join([instruction, *blocks, _SEP, head, *rows, foot])
+    return PromptPlan(text, len(blocks), len(rows))
 
 
 def sample_candidates(backend: Backend, prompt: str,

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -146,8 +147,7 @@ class Table:
         raise UnknownColumn(name, self.column_names())
 
     def rows(self) -> Iterator[tuple]:
-        for i in range(self.row_count):
-            yield tuple(c.cells[i] for c in self.columns)
+        return zip(*(c.cells for c in self.columns))
 
 
 # ---- ingestion ----
@@ -335,14 +335,11 @@ def augment(t: Table, c: Column) -> Table:
 
 # ---- prompt linearization ----
 
-def linearize(t: Table, title: str, num_rows: int, full: bool = False) -> str:
-    """Emit the CREATE TABLE block plus a commented sample of rows.
-
-    full=False announces a 3-example-row sample; full=True announces the whole
-    table. Either way at most min(num_rows, row_count) value rows are printed.
-    """
-    if num_rows < 0:
-        raise ValueError("num_rows must be >= 0")
+def linearize_frame(t: Table, title: str, full: bool = False) -> tuple:
+    """The text around a linearization's value rows, as (head, foot): the
+    CREATE TABLE block and the sample's announcement down to the line of
+    column names, and the closing comment line. Each value row goes between
+    them as a newline plus linearize_row(row)."""
     lines = [f"CREATE TABLE {title}("]
     for i, c in enumerate(t.columns):
         sep = "," if i < len(t.columns) - 1 else ")"
@@ -355,9 +352,22 @@ def linearize(t: Table, title: str, num_rows: int, full: bool = False) -> str:
         lines.append("3 example rows:")
         lines.append("SELECT * FROM w LIMIT 3;")
     lines.append("\t".join(t.column_names()))
-    for i, row in enumerate(t.rows()):
-        if i >= num_rows:
-            break
-        lines.append("\t".join(cell_to_text(v) for v in row))
-    lines.append("*/")
-    return "\n".join(lines)
+    return "\n".join(lines), "\n*/"
+
+
+def linearize_row(row: tuple) -> str:
+    """One value row, its cells rendered by cell_to_text and tab-separated."""
+    return "\t".join(cell_to_text(v) for v in row)
+
+
+def linearize(t: Table, title: str, num_rows: int, full: bool = False) -> str:
+    """Emit the CREATE TABLE block plus a commented sample of rows.
+
+    full=False announces a 3-example-row sample; full=True announces the whole
+    table. Either way at most min(num_rows, row_count) value rows are printed.
+    """
+    if num_rows < 0:
+        raise ValueError("num_rows must be >= 0")
+    head, foot = linearize_frame(t, title, full)
+    rows = "".join("\n" + linearize_row(row) for row in islice(t.rows(), num_rows))
+    return head + rows + foot

@@ -220,7 +220,7 @@ def _run_one(programs, rules=()):
     cfg = RunConfig(generation=GenerationConfig(temperature=0.0, sampling_n=len(programs),
                                                 num_shots=0))
     with ThreadPoolExecutor(max_workers=2) as executor:
-        return cli._run_example(_example(), Path("."), cfg, backend, [], None, executor)
+        return cli._run_example(_example(), Path("."), {}, cfg, backend, [], None, executor)
 
 
 def test_identical_candidates_execute_once(monkeypatch):
@@ -311,3 +311,96 @@ def test_bad_example_fails_only_its_record(tmp_path, capsys, bad, error):
     first, middle, last = (json.loads(line) for line in results.read_text().splitlines())
     assert first == last and first["final_answer"] == ["linen shirt, pure cotton"]
     assert middle["error"] == error and middle["final_answer"] == []
+
+
+BENCH = fixture_path("bench")
+
+
+def _bench_dataset(path: Path, ids) -> Path:
+    """The bench fixture's examples `ids`, with table paths made absolute."""
+    lines = []
+    for line in (BENCH / "dataset.jsonl").read_text().splitlines():
+        example = json.loads(line)
+        if example["id"] in ids:
+            example["table_path"] = str(BENCH / example["table_path"])
+            lines.append(json.dumps(example) + "\n")
+    path.write_text("".join(lines))
+    return path
+
+
+def test_run_loads_each_table_once_per_run(tmp_path, capsys, monkeypatch):
+    loaded = []
+    load_table = cli.load_table
+
+    def counting(path):
+        loaded.append(Path(path).name)
+        return load_table(path)
+    monkeypatch.setattr(cli, "load_table", counting)
+    dataset = _bench_dataset(tmp_path / "dataset.jsonl", ("b01", "b09", "b02"))
+    config = str(BENCH / "config.json")
+    runs = []
+    for name in ("first.jsonl", "second.jsonl"):
+        code, _, _ = run_cli(capsys, "run", str(dataset), "--config", config,
+                             "-o", str(tmp_path / name))
+        assert code == 0
+        runs.append((tmp_path / name).read_text())
+    # two tables per run, and nothing kept from one run to the next
+    assert loaded == ["cities.csv", "books.csv"] * 2
+    assert runs[0] == runs[1]
+    # the same records as runs that each load their one table themselves
+    alone = []
+    for i, line in enumerate(dataset.read_text().splitlines()):
+        one = tmp_path / f"one{i}.jsonl"
+        one.write_text(line + "\n")
+        run_cli(capsys, "run", str(one), "--config", config, "-o", str(tmp_path / f"out{i}.jsonl"))
+        alone.append((tmp_path / f"out{i}.jsonl").read_text())
+    assert runs[0] == "".join(alone)
+    assert len(runs[0].splitlines()) == 3
+
+
+def test_inline_tables_are_built_per_example(tmp_path, capsys, monkeypatch):
+    built = []
+    table_from_json = cli.table_from_json
+    monkeypatch.setattr(cli, "table_from_json",
+                        lambda obj: built.append(1) or table_from_json(obj))
+    dataset = tmp_path / "dataset.jsonl"
+    example = {"id": "q", "question": "how many rows?",
+               "table": {"header": ["a"], "rows": [["1"], ["2"]]}}
+    dataset.write_text((json.dumps(example) + "\n") * 2)
+    code, _, _ = run_cli(capsys, "run", str(dataset), "--config", str(BENCH / "config.json"),
+                         "-o", str(tmp_path / "results.jsonl"))
+    assert code == 0 and len(built) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "eval-results", "eval-gold"])
+def test_non_utf8_input_is_a_format_error(tmp_path, capsys, command):
+    bad = tmp_path / "utf16.jsonl"
+    bad.write_bytes(b"\xff\xfe" + '{"id": "fig1"}\n'.encode("utf-16-le"))
+    gold = str(FIG1 / "dataset.jsonl")
+    argv = {"run": ["run", str(bad), "--config", str(FIG1 / "config.json"),
+                    "-o", str(tmp_path / "results.jsonl")],
+            "eval-results": ["eval", str(bad), gold],
+            "eval-gold": ["eval", gold, str(bad)]}[command]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith("lmsql: utf16.jsonl is not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which, line, error", [
+    ("results", "[1, 2]", "expected an object, got list"),
+    ("results", '{"id": "fig1", "final_answer": 5}', "field 'final_answer' must be a list, got int"),
+    ("gold", '{"id": "fig1", "gold": 5}', "field 'gold' must be a list, got int"),
+    ("gold", '{"id": "fig1", "gold": ["x"], "question": 5}', "field 'question' must be a string"),
+    ("gold", '{"id": ["fig1"], "gold": ["x"]}', "field 'id' must be a string or a number"),
+], ids=["not-an-object", "answer-not-a-list", "gold-not-a-list", "question-not-text",
+        "id-unhashable"])
+def test_bad_eval_line_names_file_and_line(tmp_path, capsys, which, line, error):
+    files = {"results": '{"id": "fig1", "final_answer": ["x"]}', "gold": '{"id": "fig1", "gold": ["x"]}'}
+    files[which] = line
+    paths = []
+    for name, text in files.items():
+        (tmp_path / f"{name}.jsonl").write_text("\n" + text + "\n")
+        paths.append(str(tmp_path / f"{name}.jsonl"))
+    code, _, err = run_cli(capsys, "eval", *paths)
+    assert code == 3
+    assert err == f"lmsql: {which}.jsonl line 2: {error}\n"

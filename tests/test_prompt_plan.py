@@ -1,0 +1,122 @@
+"""Property test: the length-based planner returns the plan of the
+straightforward one, which builds the whole prompt for each shot count and
+binary-searches the inference rows when no shot count fits."""
+
+from __future__ import annotations
+
+from datetime import date
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from lmsql import BudgetExhausted, GenerationConfig, linearize, plan_parse_prompt
+from lmsql.backend import CHARS_PER_TOKEN, approx_tokens
+from lmsql.prompts import EXEMPLAR_ROWS, PROGRAM_SLOT, Exemplar, PromptPlan
+from lmsql.table import Column, Table
+
+
+def reference_prompt(instruction, shots, table, title, question, k, rows) -> str:
+    blocks = [instruction]
+    blocks.extend(f"{linearize(ex.table, ex.title, EXEMPLAR_ROWS, full=False)}\n"
+                  f"Q: {ex.question}\n"
+                  f"{PROGRAM_SLOT} {ex.program_text}" for ex in shots[:k])
+    blocks.append(f"{linearize(table, title, rows, full=True)}\n"
+                  f"Q: {question}\n"
+                  f"{PROGRAM_SLOT} ")
+    return "\n\n".join(blocks)
+
+
+def reference_plan(instruction, exemplars, table, title, question, cfg) -> PromptPlan:
+    """The planner as it was before it worked from lengths."""
+    shots = list(exemplars[:cfg.num_shots])
+
+    def assemble(k, rows):
+        return reference_prompt(instruction, shots, table, title, question, k, rows)
+
+    full_rows = table.row_count
+    for k in range(len(shots), -1, -1):
+        text = assemble(k, full_rows)
+        if approx_tokens(text) <= cfg.token_budget:
+            return PromptPlan(text, k, full_rows)
+    lo, hi, best = 0, full_rows - 1, None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if approx_tokens(assemble(0, mid)) <= cfg.token_budget:
+            best = mid
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    if best is None:
+        raise BudgetExhausted("no fit")
+    return PromptPlan(assemble(0, best), 0, best)
+
+
+def assert_same_plan(args, cfg) -> str:
+    """Check the planner against the reference; name the branch taken."""
+    _, shots, table, _, _ = args
+    try:
+        expected = reference_plan(*args, cfg)
+    except BudgetExhausted:
+        with pytest.raises(BudgetExhausted):
+            plan_parse_prompt(*args, cfg)
+        return "budget exhausted"
+    assert plan_parse_prompt(*args, cfg) == expected
+    if expected.inference_rows < table.row_count:
+        return "rows cut"
+    return "all shots" if expected.num_shots == len(shots[:cfg.num_shots]) else "fewer shots"
+
+
+text = st.text(max_size=12)  # unicode, empty and multi-line strings included
+cells = st.one_of(st.none(), st.just(""), text,
+                  st.floats(allow_nan=False, allow_infinity=False),
+                  st.dates(min_value=date(1, 1, 1)))
+
+
+@st.composite
+def tables(draw, max_rows=12):
+    n_cols = draw(st.integers(0, 4))
+    n_rows = draw(st.integers(0, max_rows)) if n_cols else 0
+    columns = tuple(
+        Column(draw(text), draw(st.sampled_from(["int", "real", "text", "date"])),
+               tuple(draw(st.lists(cells, min_size=n_rows, max_size=n_rows))))
+        for _ in range(n_cols))
+    return Table(draw(text), columns)
+
+
+exemplars = st.builds(Exemplar, tables(max_rows=5), text, text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instruction=text, shots=st.lists(exemplars, max_size=4), table=tables(),
+       title=text, question=text, num_shots=st.integers(0, 5), data=st.data())
+def test_plan_matches_reference(instruction, shots, table, title, question, num_shots, data):
+    # budgets at, or a token either side of, the size of a prompt the
+    # planner may choose: k shots and all rows, or no shots and some rows.
+    # Every branch is drawn: all shots, fewer, none with all rows, some
+    # rows, and none at all. The instruction is padded so that this prompt's
+    # length has a drawn remainder modulo CHARS_PER_TOKEN; a planner whose
+    # lengths are a few characters off then fails at one of them.
+    args = (instruction, shots, table, title, question)
+    k = data.draw(st.integers(0, len(shots[:num_shots])), label="k")
+    rows = table.row_count if k else data.draw(st.integers(0, table.row_count), label="rows")
+    remainder = data.draw(st.integers(0, CHARS_PER_TOKEN - 1), label="remainder")
+    pad = (remainder - len(reference_prompt(*args, k, rows))) % CHARS_PER_TOKEN
+    args = (instruction + " " * pad, *args[1:])
+    edge = approx_tokens(reference_prompt(*args, k, rows))
+    budget = edge + data.draw(st.integers(-1, 1), label="budget - edge")
+    event(assert_same_plan(args, GenerationConfig(num_shots=num_shots, token_budget=budget)))
+
+
+@pytest.mark.parametrize("pad", range(CHARS_PER_TOKEN))
+def test_plan_matches_reference_at_every_budget(pad):
+    """One small input at every budget, its instruction padded so that each
+    prompt's length takes every remainder modulo CHARS_PER_TOKEN."""
+    table = Table("t", (Column("a", "text", ("x", "", None, "é")),
+                        Column("n", "real", (1.0, 2.5, None, 3.0))))
+    shots = [Exemplar(table, "ex", "q?", "SELECT a FROM w")] * 2
+    args = (" " * pad, shots, table, "w", "how many?")
+    largest = approx_tokens(reference_prompt(*args, len(shots), table.row_count))
+    outcomes = {assert_same_plan(args, GenerationConfig(num_shots=len(shots), token_budget=b))
+                for b in range(largest + 2)}
+    assert outcomes == {"budget exhausted", "rows cut", "fewer shots", "all shots"}
+
