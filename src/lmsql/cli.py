@@ -237,8 +237,9 @@ def _read_jsonl(path: str) -> list:
 
 def _eval_records(path: str, answer_key: str, with_question: bool = False) -> dict:
     """id -> (answer values, question) for each line of a results or gold
-    file; the question is read only with_question, and is "" if absent."""
-    out = {}
+    file; the question is read only with_question, and is "" if absent. An
+    id given twice is an error, since only one of its answers could count."""
+    out, first_seen = {}, {}
     for where, r in _read_jsonl(path):
         if not isinstance(r, dict):
             raise FormatError(f"{where}: expected an object, got {type(r).__name__}")
@@ -251,6 +252,9 @@ def _eval_records(path: str, answer_key: str, with_question: bool = False) -> di
                               f"got {type(values).__name__}")
         if not isinstance(question, str):
             raise FormatError(f"{where}: field 'question' must be a string")
+        if rid in first_seen:
+            raise FormatError(f"{first_seen[rid]}: id {rid!r} is repeated on {where}")
+        first_seen[rid] = where
         out[rid] = (values, question)
     return out
 

@@ -160,15 +160,19 @@ def _comparable_pair(left: Cell, right: Cell):
 
 @lru_cache(maxsize=256)
 def _like_regex(pattern: str):
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("".join(out), re.DOTALL)
+    """A regex that fullmatches the texts LIKE pattern matches. A segment
+    between two %s is matched atomically at its first occurrence, which is
+    always a right choice: with a plain '.*' for each %, a failing match
+    backtracks in time that grows as the text length to the power of the
+    number of %s."""
+    segments = ["".join("." if ch == "_" else re.escape(ch) for ch in seg)
+                for seg in pattern.split("%")]
+    if len(segments) == 1:
+        return re.compile(segments[0], re.DOTALL)
+    first, *middle, last = segments
+    atomic = "".join(f"(?=(?P<s{i}>.*?{seg}))(?P=s{i})"
+                     for i, seg in enumerate(middle) if seg)
+    return re.compile(f"{first}{atomic}.*{last}", re.DOTALL)
 
 
 # ---- scopes ----

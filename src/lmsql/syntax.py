@@ -289,12 +289,32 @@ def aggregates(expr) -> list:
 
 # ---- parser ----
 
+# Operator levels, loosest first: the parser climbs them and the printer
+# parenthesizes by them. Prefix NOT sits between AND and the comparisons,
+# unary minus above every binary operator.
+_NOT, _COMPARE, _NEGATE = 3, 4, 7
+_PREC = {
+    "OR": 1, "AND": 2,
+    **dict.fromkeys(("=", "!=", "<>", "<", "<=", ">", ">=",
+                     "LIKE", "NOT LIKE", "IN", "IS"), _COMPARE),
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+# Deepest nesting a program may have, counting parentheses, prefix operators,
+# operators chained on the left and model calls. Tree walks recurse once per
+# level: at this depth the deepest one (nested subqueries through
+# execute_sql) stays under half the default recursion limit. The fixtures
+# and the generated benchmark programs reach depth 5.
+MAX_DEPTH = 64
+
+
 class _Parser:
     def __init__(self, text: str, allow_api_calls: bool = True):
         self.text = text
         self.allow_api_calls = allow_api_calls
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0  # parse_expr and model-call levels open at the cursor
+        self.high = 0  # deepest level reached in the expression being parsed
 
     def peek(self, offset: int = 0) -> Token:
         j = min(self.i + offset, len(self.tokens) - 1)
@@ -399,88 +419,59 @@ class _Parser:
             return self.parse_api_call()
         raise self.error("LIMIT needs an integer or a model call", ["number"])
 
-    # expression precedence: OR < AND < NOT < comparison < additive < multiplicative < unary
-    def parse_expr(self):
-        return self.parse_or()
+    def nest(self, depth: int) -> None:
+        """Note that the tree reaches `depth` levels down; past MAX_DEPTH the
+        program is refused, so no later walk of it can exhaust the stack."""
+        self.high = max(self.high, depth)
+        if self.high > MAX_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_DEPTH}")
 
-    def parse_or(self):
-        left = self.parse_and()
-        while True:
-            tok = self.accept_kw("OR")
-            if not tok:
-                return left
-            left = Binary("OR", left, self.parse_and(), pos=tok.pos)
-
-    def parse_and(self):
-        left = self.parse_not()
-        while True:
-            tok = self.accept_kw("AND")
-            if not tok:
-                return left
-            left = Binary("AND", left, self.parse_not(), pos=tok.pos)
-
-    def parse_not(self):
-        tok = self.accept_kw("NOT")
-        if tok:
-            return Unary("NOT", self.parse_not(), pos=tok.pos)
-        return self.parse_comparison()
-
-    def parse_comparison(self):
-        left = self.parse_additive()
+    def parse_expr(self, min_prec: int = 1):
+        """An expression whose operators all bind at level min_prec or
+        tighter, by precedence climbing over _PREC."""
+        outer_high, self.high = self.high, 0
+        self.depth += 1
+        self.nest(self.depth)
         tok = self.peek()
-        if tok.is_sym("=", "!=", "<>", "<", "<=", ">", ">="):
+        if tok.is_sym("-") or (tok.is_kw("NOT") and min_prec <= _NOT):
             self.advance()
-            op = "!=" if tok.value == "<>" else tok.value
-            return Binary(op, left, self.parse_additive(), pos=tok.pos)
-        negated = False
-        if tok.is_kw("NOT") and self.peek(1).is_kw("LIKE", "IN"):
-            self.advance()
-            negated = True
+            prec = _NEGATE if tok.value == "-" else _NOT
+            left = Unary(tok.value, self.parse_expr(prec), pos=tok.pos)
+        else:
+            prec, left = _NEGATE, self.parse_primary()
+        limit = prec + 1  # after a level-p operator, only looser ones follow
+        while True:
             tok = self.peek()
-        if tok.is_kw("LIKE"):
-            self.advance()
-            pattern = self.parse_additive()
-            if not (isinstance(pattern, Literal) and isinstance(pattern.value, str)):
-                raise ParseError("LIKE pattern must be a string literal", tok.pos)
-            return Binary("NOT LIKE" if negated else "LIKE", left, pattern, pos=tok.pos)
-        if tok.is_kw("IN"):
-            self.advance()
-            self.expect_sym("(")
-            items = [self.parse_expr()]
-            while self.accept_sym(","):
-                items.append(self.parse_expr())
-            self.expect_sym(")")
-            return InList(left, tuple(items), negated, pos=tok.pos)
-        if negated:
-            raise self.error("dangling NOT", ["LIKE", "IN"])
-        if tok.is_kw("IS"):
-            self.advance()
-            neg = bool(self.accept_kw("NOT"))
-            self.expect_kw("NULL")
-            return IsNull(left, neg, pos=tok.pos)
+            negated = tok.is_kw("NOT") and self.peek(1).is_kw("LIKE", "IN")
+            if negated:
+                tok = self.peek(1)
+            prec = _PREC.get(tok.value, 0) if tok.kind in ("symbol", "keyword") else 0
+            if not min_prec <= prec < limit:
+                break
+            self.i += 2 if negated else 1
+            self.nest(self.high + 1)  # the chain so far moves one level down
+            if tok.value == "IN":
+                self.expect_sym("(")
+                items = [self.parse_expr()]
+                while self.accept_sym(","):
+                    items.append(self.parse_expr())
+                self.expect_sym(")")
+                left = InList(left, tuple(items), negated, pos=tok.pos)
+            elif tok.value == "IS":
+                neg = bool(self.accept_kw("NOT"))
+                self.expect_kw("NULL")
+                left = IsNull(left, neg, pos=tok.pos)
+            else:
+                right = self.parse_expr(prec + 1)
+                if tok.value == "LIKE" and not (isinstance(right, Literal)
+                                                and isinstance(right.value, str)):
+                    raise ParseError("LIKE pattern must be a string literal", tok.pos)
+                op = "NOT LIKE" if negated else "!=" if tok.value == "<>" else tok.value
+                left = Binary(op, left, right, pos=tok.pos)
+            limit = prec if prec == _COMPARE else prec + 1  # comparisons do not chain
+        self.depth -= 1
+        self.high = max(self.high, outer_high)
         return left
-
-    def parse_additive(self):
-        left = self.parse_multiplicative()
-        while True:
-            tok = self.accept_sym("+", "-")
-            if not tok:
-                return left
-            left = Binary(tok.value, left, self.parse_multiplicative(), pos=tok.pos)
-
-    def parse_multiplicative(self):
-        left = self.parse_unary()
-        while True:
-            tok = self.accept_sym("*", "/", "%")
-            if not tok:
-                return left
-            left = Binary(tok.value, left, self.parse_unary(), pos=tok.pos)
-
-    def parse_unary(self):
-        tok = self.accept_sym("-")
-        if tok:
-            return Unary("-", self.parse_unary(), pos=tok.pos)
-        return self.parse_primary()
 
     def parse_primary(self):
         tok = self.peek()
@@ -530,6 +521,8 @@ class _Parser:
         name = self.advance()
         if not self.allow_api_calls:
             raise ParseError("model calls are not allowed in plain SQL mode", name.pos)
+        self.depth += 1
+        self.nest(self.depth)
         self.expect_sym("(")
         qtok = self.peek()
         if qtok.kind != "string":
@@ -542,6 +535,7 @@ class _Parser:
         while self.accept_sym(","):
             args.append(self.parse_call_arg())
         self.expect_sym(")")
+        self.depth -= 1
         forced_role = CALL_NAMES[name.value]
         return ApiCall(qtok.value, tuple(args), role=forced_role,
                        forced=forced_role is not None, pos=name.pos)
@@ -572,12 +566,6 @@ def parse(text: str, allow_api_calls: bool = True) -> Program:
 
 # ---- canonical printer ----
 
-_PREC = {
-    "OR": 1, "AND": 2,
-    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "LIKE": 4, "NOT LIKE": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
-}
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -591,9 +579,9 @@ def _prec(expr) -> int:
     if isinstance(expr, Binary):
         return _PREC[expr.op]
     if isinstance(expr, (InList, IsNull)):
-        return 4
+        return _COMPARE
     if isinstance(expr, Unary):
-        return 3 if expr.op == "NOT" else 7
+        return _NOT if expr.op == "NOT" else _NEGATE
     return 9
 
 
@@ -618,18 +606,22 @@ def print_expr(expr) -> str:
         return "*"
     if isinstance(expr, Unary):
         if expr.op == "NOT":
-            return "NOT " + _print_child(expr.operand, 3, allow_equal=True)
-        return "-" + _print_child(expr.operand, 7, allow_equal=False)
+            return "NOT " + _print_child(expr.operand, _NOT, allow_equal=True)
+        # "- -x", not "-(-x)": each parenthesis is a nesting level, and a
+        # printed program must parse back under MAX_DEPTH
+        operand = _print_child(expr.operand, _NEGATE, allow_equal=True)
+        return ("- " if operand.startswith("-") else "-") + operand
     if isinstance(expr, Binary):
-        left = _print_child(expr.left, _PREC[expr.op], allow_equal=expr.op not in ("=", "!=", "<", "<=", ">", ">=", "LIKE", "NOT LIKE"))
-        right = _print_child(expr.right, _PREC[expr.op], allow_equal=False)
+        prec = _PREC[expr.op]
+        left = _print_child(expr.left, prec, allow_equal=prec != _COMPARE)
+        right = _print_child(expr.right, prec, allow_equal=False)
         return f"{left} {expr.op} {right}"
     if isinstance(expr, InList):
-        subject = _print_child(expr.subject, 4, allow_equal=False)
+        subject = _print_child(expr.subject, _COMPARE, allow_equal=False)
         items = ", ".join(print_expr(x) for x in expr.items)
         return f"{subject} {'NOT IN' if expr.negated else 'IN'} ({items})"
     if isinstance(expr, IsNull):
-        subject = _print_child(expr.subject, 4, allow_equal=False)
+        subject = _print_child(expr.subject, _COMPARE, allow_equal=False)
         return f"{subject} IS {'NOT ' if expr.negated else ''}NULL"
     if isinstance(expr, Aggregate):
         if isinstance(expr.arg, Star):

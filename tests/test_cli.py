@@ -358,6 +358,29 @@ def test_run_loads_each_table_once_per_run(tmp_path, capsys, monkeypatch):
     assert len(runs[0].splitlines()) == 3
 
 
+def test_run_survives_a_deeply_nested_candidate(tmp_path, capsys):
+    rules = json.loads((BENCH / "mock.json").read_text())
+    deep = "SELECT " + "(" * 400 + "COUNT(*)" + ")" * 400 + " FROM w"
+    rules[0]["responses"][2] = deep  # the third candidate for b01
+    (tmp_path / "mock.json").write_text(json.dumps(rules))
+    config = json.loads((BENCH / "config.json").read_text())
+    config.update(backend={"mock": str(tmp_path / "mock.json")},
+                  exemplars=str(BENCH / "exemplars.json"))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    outs = {}
+    for name, config_path in (("deep", tmp_path / "config.json"), ("plain", BENCH / "config.json")):
+        code, _, _ = run_cli(capsys, "run", str(BENCH / "dataset.jsonl"),
+                             "--config", str(config_path), "-o", str(tmp_path / f"{name}.jsonl"))
+        assert code == 0
+        outs[name] = [json.loads(line) for line in (tmp_path / f"{name}.jsonl").open()]
+    assert len(outs["deep"]) == len((BENCH / "dataset.jsonl").read_text().splitlines())
+    deep_candidate = outs["deep"][0]["candidates"][2]
+    assert deep_candidate["program"] == deep and not deep_candidate["parsed"]
+    assert "nesting deeper than" in deep_candidate["error"]
+    assert outs["deep"][0]["final_answer"] == outs["plain"][0]["final_answer"]
+    assert outs["deep"][1:] == outs["plain"][1:]
+
+
 def test_inline_tables_are_built_per_example(tmp_path, capsys, monkeypatch):
     built = []
     table_from_json = cli.table_from_json
@@ -392,8 +415,12 @@ def test_non_utf8_input_is_a_format_error(tmp_path, capsys, command):
     ("gold", '{"id": "fig1", "gold": 5}', "field 'gold' must be a list, got int"),
     ("gold", '{"id": "fig1", "gold": ["x"], "question": 5}', "field 'question' must be a string"),
     ("gold", '{"id": ["fig1"], "gold": ["x"]}', "field 'id' must be a string or a number"),
+    ("results", '{"id": "fig1", "final_answer": ["x"]}\n{"id": "fig1", "final_answer": ["y"]}',
+     "id 'fig1' is repeated on results.jsonl line 3"),
+    ("gold", '{"id": 7, "gold": ["x"]}\n{"id": 7, "gold": ["x"]}',
+     "id 7 is repeated on gold.jsonl line 3"),
 ], ids=["not-an-object", "answer-not-a-list", "gold-not-a-list", "question-not-text",
-        "id-unhashable"])
+        "id-unhashable", "results-id-repeated", "gold-id-repeated"])
 def test_bad_eval_line_names_file_and_line(tmp_path, capsys, which, line, error):
     files = {"results": '{"id": "fig1", "final_answer": ["x"]}', "gold": '{"id": "fig1", "gold": ["x"]}'}
     files[which] = line

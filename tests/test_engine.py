@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import re
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmsql import (Answer, EvalError, UnknownColumn, UnsupportedFeature,
                    denotation_to_answer, execute_sql, parse)
@@ -74,6 +78,29 @@ def test_numeric_text_coercion():
 def test_like_wildcards(records):
     assert answer("SELECT COUNT(*) FROM w WHERE place LIKE '%norway'", records) == ["1"]
     assert answer("SELECT COUNT(*) FROM w WHERE event LIKE '_0 km'", records) == ["5"]
+
+
+def one_wildcard_per_percent(pattern: str):
+    """The LIKE regex before segments were matched atomically."""
+    return re.compile("".join(".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+                              for ch in pattern), re.DOTALL)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text("ab%_", max_size=10), st.text("ab%_\n", max_size=12))
+def test_like_regex_matches_as_one_wildcard_per_percent(pattern, text):
+    expected = one_wildcard_per_percent(pattern).fullmatch(text) is not None
+    assert (engine._like_regex(pattern).fullmatch(text) is not None) == expected
+
+
+def test_like_with_many_wildcards_does_not_backtrack():
+    # one '.*' per % took minutes here: each wildcard multiplies the
+    # positions a failing match tries by the length of the cell
+    t = make_table("t", ["s"], [["a" * 200]])
+    start = time.perf_counter()
+    assert answer("SELECT COUNT(*) FROM w WHERE s LIKE '%a%a%a%a%a%b'", t) == ["0"]
+    assert answer("SELECT COUNT(*) FROM w WHERE s LIKE '%a%a%a%a%a%a'", t) == ["1"]
+    assert time.perf_counter() - start < 2.0
 
 
 def test_in_list(members):

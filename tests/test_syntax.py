@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from lmsql import (ApiCall, LexError, ParseError, RoleAmbiguity,
+from lmsql import (ApiCall, Answer, LexError, MockBackend, ParseError, RoleAmbiguity,
                    api_calls_bottom_up, assign_roles, parse, print_program,
-                   tokenize)
+                   run_program, tokenize)
 from lmsql import syntax
-from lmsql.syntax import (Aggregate, Binary, ColumnRef, Literal, ScalarSubquery,
+from lmsql.syntax import (MAX_DEPTH, Aggregate, Binary, ColumnRef, Literal, ScalarSubquery,
                           children, map_children)
 
+from conftest import make_table
 from corpus import EXEMPLAR_PROGRAMS
 from randgen import make_random_table, random_query
 
@@ -236,3 +238,67 @@ def test_aggregate_distinct_round_trip():
     p = roundtrip("SELECT COUNT(DISTINCT a), SUM(b) FROM w GROUP BY c HAVING COUNT(*) > 1")
     agg = p.root.select_items[0]
     assert isinstance(agg, Aggregate) and agg.distinct
+
+
+# ---- nesting cap ----
+
+DEEP = {  # shape: (program nested n levels, an n far past the cap)
+    "parentheses": (lambda n: "SELECT " + "(" * n + "a" + ")" * n + " FROM w", 400),
+    "and-chain": (lambda n: "SELECT a FROM w WHERE a = 1" + " AND a = 1" * n, 1000),
+    "not": (lambda n: "SELECT " + "NOT " * n + "a FROM w", 1000),
+    "subqueries": (lambda n: "SELECT " + "(SELECT " * n + "MAX(a) FROM w" + ")" * n + " FROM w",
+                   400),
+    "calls": (lambda n: "SELECT " + 'f("q"; ' * n + "a" + ")" * n + " FROM w", 400),
+    "minus": (lambda n: "SELECT " + "- " * n + "a FROM w", 400),
+    # each chain sits one level below the next one out: fewer parentheses
+    # than the cap, but a tree four times as deep
+    "chains-in-parentheses": (lambda n: "SELECT " + "(" * n + "a" + " + a + a + a)" * n
+                              + " FROM w", 50),
+}
+
+
+def assert_refused_by_cap(text: str) -> None:
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_DEPTH}"):
+        parse(text)
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_nesting_past_the_cap_is_a_parse_error(shape):
+    nested, far = DEEP[shape]
+    assert_refused_by_cap(nested(far))
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT a FROM w WHERE a IN (" + ", ".join(["1"] * 500) + ")",
+    "SELECT " + ", ".join(['f("q"; a)'] * 200) + " FROM w",
+    'SELECT f("q"; ' + ", ".join(['f("r"; a)'] * 200) + ") FROM w",
+    "SELECT " + ", ".join(["(SELECT MAX(a) FROM w)"] * 200),
+], ids=["in-list", "select-items", "call-args", "subqueries"])
+def test_wide_programs_are_not_deep(text):
+    parse(text)
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_deepest_accepted_program_runs_on_a_worker(shape):
+    nested, _ = DEEP[shape]
+    n = 1
+    while True:  # the cap, not another error, ends the climb
+        try:
+            parse(nested(n + 1))
+        except ParseError:
+            assert_refused_by_cap(nested(n + 1))
+            break
+        n += 1
+    assert n > 10
+    table = make_table("w", ["a"], [["1"], ["2"]])
+    backend = MockBackend([("regex", "", ["0\tx\n1\ty"])])
+
+    def through_the_pipeline(text):
+        program = parse(text)
+        assert parse(print_program(program)).root == program.root
+        print_program(assign_roles(program))
+        return run_program(program, table, backend).answer
+
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        answer = executor.submit(through_the_pipeline, nested(n)).result()
+    assert isinstance(answer, Answer)
