@@ -7,6 +7,7 @@ NULLS LAST, which is this evaluator's fixed policy."""
 from __future__ import annotations
 
 import sqlite3
+from datetime import date
 
 from lmsql.table import Column, Table
 
@@ -39,6 +40,63 @@ def make_random_table(rng):
         columns.append(Column(name, "text", cells))
         text_cols.append(name)
     return Table("rand", tuple(columns)), num_cols, text_cols
+
+
+# text cells that read as numbers, and some that only look like them
+NUMERIC_TEXT = ["3", "12", " 7", "-2", "3.5", "1e1", "0", "apple", "12abc", "nan", "inf", ""]
+DATE_LITERALS = ["2020-06-01", "2021-03-03", "1999-12-31", "March 3, 2021", "1 jan 2020",
+                 "5/17/2020", "not a date"]
+
+
+def make_rich_table(rng):
+    """make_random_table plus a date column `d` and a text column `s` of
+    mostly numeric-looking cells. sqlite cannot check either: it has no date
+    type, and it compares text with a number by storage class, not by value."""
+    table, num_cols, text_cols = make_random_table(rng)
+    n = table.row_count
+    dates = tuple(None if rng.random() < 0.15 else
+                  date(rng.choice([1999, 2020, 2021]), rng.randint(1, 12), rng.randint(1, 28))
+                  for _ in range(n))
+    texts = tuple(None if rng.random() < 0.1 else rng.choice(NUMERIC_TEXT) for _ in range(n))
+    columns = table.columns + (Column("d", "date", dates), Column("s", "text", texts))
+    return Table(table.title, columns), num_cols, text_cols
+
+
+def _rich_atom(rng, num_cols) -> str:
+    """A predicate over the rich columns; many of these are null on some or
+    all rows (a date against a number, text that is not a number)."""
+    cmp_op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+    n = rng.choice(num_cols)
+    return rng.choice([
+        lambda: f"d {cmp_op} '{rng.choice(DATE_LITERALS)}'",
+        lambda: f"d {cmp_op} {rng.randint(0, 5)}",
+        lambda: f"d IS {'NOT ' if rng.random() < 0.5 else ''}NULL",
+        lambda: f"d IN ('{rng.choice(DATE_LITERALS)}', '{rng.choice(DATE_LITERALS)}')",
+        lambda: "d = (SELECT MAX(d) FROM w)",
+        lambda: f"s {cmp_op} {rng.randint(-3, 12)}",
+        lambda: f"s {cmp_op} '{rng.choice(NUMERIC_TEXT)}'",
+        lambda: f"s {'NOT ' if rng.random() < 0.3 else ''}IN (3, '12', 'apple', {n})",
+        lambda: f"s LIKE '{rng.choice(['1%', '%a%', '_'])}'",
+        lambda: f"(s + {n}) {cmp_op} {rng.randint(-3, 12)}",
+        lambda: f"({n} / {rng.choice([0, 2])}) {cmp_op} s",
+        lambda: f"(SELECT COUNT(*) FROM w WHERE s > 2) {cmp_op} {n}",
+        lambda: f"{n} % {rng.choice([0, 3])} = 1",
+        lambda: rng.choice(["s", n, "d", "NULL", "'yes'", "-s"]),
+    ])()
+
+
+def rich_pred(rng, num_cols, text_cols, depth=2) -> str:
+    """A random predicate over a make_rich_table table, nulls included."""
+    r = rng.random()
+    if depth > 0 and r < 0.3:
+        op = rng.choice(["AND", "OR"])
+        return (f"({rich_pred(rng, num_cols, text_cols, depth - 1)} {op} "
+                f"{rich_pred(rng, num_cols, text_cols, depth - 1)})")
+    if depth > 0 and r < 0.4:
+        return f"NOT ({rich_pred(rng, num_cols, text_cols, depth - 1)})"
+    if r < 0.65:
+        return _pred(rng, num_cols, text_cols, 0)
+    return _rich_atom(rng, num_cols)
 
 
 def _num_expr(rng, num_cols, depth=2) -> str:
