@@ -9,12 +9,13 @@ last, numeric coercion of numeric-looking text at comparison time.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property, lru_cache
 
-from .errors import EvalError, UnsupportedFeature
+from .errors import EvalError, UnknownColumn, UnsupportedFeature
 from .syntax import (Aggregate, ApiCall, Binary, ColumnRef, InList, IsNull,
                      Literal, Program, Query, ScalarSubquery, Star, Unary,
                      aggregates, has_api_calls)
@@ -105,9 +106,7 @@ def _limit_count(value) -> int:
 
 
 def _truthy(v: Cell) -> bool:
-    if v is None:
-        return False
-    n = _coerce_number(v)
+    n = v if isinstance(v, float) else _coerce_number(v)
     return n is not None and n != 0
 
 
@@ -132,18 +131,17 @@ def _group_key(v: Cell):
     return ("t", str(v))
 
 
-def _compare(left: Cell, right: Cell, op: str) -> Cell:
+def _compare(left: Cell, right: Cell, compare) -> Cell:
+    """compare (an operator function) on the coerced operands: null if either
+    is null or they do not compare."""
+    if type(left) is type(right) and type(left) in (float, str):  # nothing to coerce
+        return 1.0 if compare(left, right) else 0.0
     if left is None or right is None:
         return None
     pair = _comparable_pair(left, right)
     if pair is None:
         return None
-    a, b = pair
-    result = {
-        "=": a == b, "!=": a != b,
-        "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-    }[op]
-    return 1.0 if result else 0.0
+    return 1.0 if compare(*pair) else 0.0
 
 
 def _comparable_pair(left: Cell, right: Cell):
@@ -175,190 +173,188 @@ def _like_regex(pattern: str):
     return re.compile(f"{first}{atomic}.*{last}", re.DOTALL)
 
 
-# ---- scopes ----
+# ---- compiled expressions ----
+#
+# Each expression of a query is compiled once per _exec_query into a closure
+# of one argument. What the argument is depends on the context, which is
+# fixed at compile time: in _ROW the index of a row, in _GROUP a pair
+# (the group's row indices, its representative row index or None), in _TOP
+# (a select without FROM) None. Compiling never raises: a misuse compiles to
+# a closure that raises when called, where the tree walk used to raise.
 
-class _Scope:
-    """Name resolution context for expression evaluation. All scopes of one
-    execute_sql call share `subqueries`, the values of the scalar subqueries
-    evaluated so far: a subquery cannot refer to the outer row, so its value
-    is the same for every row."""
+_ROW, _GROUP, _TOP = "row", "group", "top"
 
-    def __init__(self, base: Table, subqueries: dict):
-        self.base = base
-        self.subqueries = subqueries
-
-    def row(self, index: int) -> "_RowScope":
-        return _RowScope(self.base, self.subqueries, index)
-
-    def cell(self, name: str) -> Cell:
-        raise EvalError(f"column {name!r} referenced outside a FROM clause")
-
-    def aggregate(self, agg: Aggregate) -> Cell:
-        raise EvalError(f"{agg.func} used outside an aggregate query")
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "%": math.fmod}
 
 
-class _RowScope(_Scope):
-    def __init__(self, base: Table, subqueries: dict, index: int):
-        super().__init__(base, subqueries)
-        self.index = index
-
-    def cell(self, name: str) -> Cell:
-        return self.base.column(name).cells[self.index]
+def _fails(error: type, message: str):
+    def fail(_):
+        raise error(message)
+    return fail
 
 
-class _GroupScope(_Scope):
-    def __init__(self, base: Table, subqueries: dict, indices: list, rep_index=None):
-        super().__init__(base, subqueries)
-        self.indices = indices
-        self.rep_index = rep_index if rep_index is not None else (indices[0] if indices else None)
+def _finite(x: float) -> Cell:
+    """A number beyond float range, or no number at all, is null."""
+    return x if math.isfinite(x) else None
 
-    def cell(self, name: str) -> Cell:
-        if self.rep_index is None:
+
+def _compile(expr, ctx: str, t: Table, subqueries: dict):
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda _: value
+    if isinstance(expr, ColumnRef):
+        if ctx == _TOP:
+            return _fails(EvalError, f"column {expr.name!r} referenced outside a FROM clause")
+        name = expr.name
+        try:
+            read = t.column(name).cells.__getitem__
+        except UnknownColumn:
+            read = lambda _: t.column(name)  # raises, once a row is read
+        if ctx == _ROW:
+            return read
+        return lambda g: None if g[1] is None else read(g[1])
+    if isinstance(expr, Aggregate):
+        if ctx != _GROUP:
+            return _fails(EvalError, f"{expr.func} used outside an aggregate query")
+        return _compile_aggregate(expr, t, subqueries)
+    if isinstance(expr, Star):
+        return _fails(EvalError, "* is only valid as a select item or inside COUNT(*)")
+    if isinstance(expr, ApiCall):
+        return _fails(UnsupportedFeature, f'unresolved model call f("{expr.question}"; ...) '
+                                          "reached the SQL evaluator")
+    if isinstance(expr, ScalarSubquery):
+        return _compile_subquery(expr, t, subqueries)
+    if isinstance(expr, Unary):
+        operand = _compile(expr.operand, ctx, t, subqueries)
+        if expr.op == "NOT":
+            def negation(r):
+                v = operand(r)
+                return None if v is None else 0.0 if _truthy(v) else 1.0
+            return negation
+
+        def minus(r):
+            n = _coerce_number(operand(r))
+            return None if n is None else _finite(-n)
+        return minus
+    if isinstance(expr, IsNull):
+        subject = _compile(expr.subject, ctx, t, subqueries)
+        null, not_null = (0.0, 1.0) if expr.negated else (1.0, 0.0)
+        return lambda r: null if subject(r) is None else not_null
+    if isinstance(expr, InList):
+        return _compile_in(expr, ctx, t, subqueries)
+    if isinstance(expr, Binary):
+        return _compile_binary(expr, ctx, t, subqueries)
+    return _fails(UnsupportedFeature, f"cannot evaluate {type(expr).__name__}")
+
+
+def _compile_binary(expr: Binary, ctx: str, t: Table, subqueries: dict):
+    op = expr.op
+    left = _compile(expr.left, ctx, t, subqueries)
+    right = _compile(expr.right, ctx, t, subqueries)
+    if op in ("AND", "OR"):
+        decides = op == "OR"  # the operand truth that decides the result alone
+        settled, otherwise = (1.0, 0.0) if decides else (0.0, 1.0)
+
+        def connective(r):  # three-valued, left operand first
+            a = left(r)
+            if a is not None and _truthy(a) == decides:
+                return settled
+            b = right(r)
+            if b is not None and _truthy(b) == decides:
+                return settled
+            return None if a is None or b is None else otherwise
+        return connective
+    if op in _COMPARISONS:
+        compare = _COMPARISONS[op]
+        return lambda r: _compare(left(r), right(r), compare)
+    if op in ("LIKE", "NOT LIKE"):
+        hit, miss = (0.0, 1.0) if op == "NOT LIKE" else (1.0, 0.0)
+
+        def like(r):
+            v, pattern = left(r), right(r)
+            if v is None or pattern is None:
+                return None
+            return hit if _like_regex(str(pattern)).fullmatch(cell_to_text(v)) else miss
+        return like
+    if op not in _ARITHMETIC:
+        return _fails(UnsupportedFeature, f"operator {op!r}")
+    apply, divides = _ARITHMETIC[op], op in ("/", "%")
+
+    def arithmetic(r):
+        a, b = _coerce_number(left(r)), _coerce_number(right(r))
+        if a is None or b is None or (divides and b == 0):
             return None
-        return self.base.column(name).cells[self.rep_index]
+        try:
+            return _finite(apply(a, b))
+        except ValueError:  # fmod of an infinite number
+            return None
+    return arithmetic
 
-    def aggregate(self, agg: Aggregate) -> Cell:
-        if isinstance(agg.arg, Star):
-            return float(len(self.indices))
-        values = [_eval(agg.arg, self.row(i)) for i in self.indices]
-        present = [v for v in values if v is not None]
-        if agg.func == "COUNT":
-            if agg.distinct:
-                return float(len({_group_key(v) for v in present}))
-            return float(len(present))
-        if agg.distinct:
-            seen, uniq = set(), []
+
+def _compile_in(expr: InList, ctx: str, t: Table, subqueries: dict):
+    subject = _compile(expr.subject, ctx, t, subqueries)
+    items = [_compile(item, ctx, t, subqueries) for item in expr.items]
+    hit, miss = (0.0, 1.0) if expr.negated else (1.0, 0.0)
+
+    def in_list(r):
+        v = subject(r)
+        if v is None:
+            return None
+        saw_null = False
+        for item in items:
+            found = _compare(v, item(r), operator.eq)
+            if found == 1.0:
+                return hit
+            saw_null = saw_null or found is None
+        return None if saw_null else miss
+    return in_list
+
+
+def _compile_aggregate(agg: Aggregate, t: Table, subqueries: dict):
+    """The aggregate over a group's rows; its argument is read per row."""
+    if isinstance(agg.arg, Star):
+        return lambda g: float(len(g[0]))
+    arg = _compile(agg.arg, _ROW, t, subqueries)
+    func, distinct = agg.func, agg.distinct
+
+    def aggregate(g):
+        present = [v for v in map(arg, g[0]) if v is not None]
+        if distinct:  # the first of each equal value
+            first: dict = {}
             for v in present:
-                k = _group_key(v)
-                if k not in seen:
-                    seen.add(k)
-                    uniq.append(v)
-            present = uniq
-        if agg.func in ("SUM", "AVG"):
-            nums = [n for n in (_coerce_number(v) for v in present) if n is not None]
+                first.setdefault(_group_key(v), v)
+            present = list(first.values())
+        if func == "COUNT":
+            return float(len(present))
+        if func in ("SUM", "AVG"):
+            nums = [n for n in map(_coerce_number, present) if n is not None]
             if not nums:
                 return None
-            total = math.fsum(nums)
-            return total if agg.func == "SUM" else total / len(nums)
+            try:
+                total = math.fsum(nums)
+            except (OverflowError, ValueError):  # partial sums beyond float range
+                return None
+            return _finite(total if func == "SUM" else total / len(nums))
         if not present:  # MIN / MAX
             return None
-        pick = min if agg.func == "MIN" else max
-        return pick(present, key=_sort_key)
+        return (min if func == "MIN" else max)(present, key=_sort_key)
+    return aggregate
 
 
-# ---- expression evaluation ----
-
-def _eval(expr, scope: _Scope) -> Cell:
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        return scope.cell(expr.name)
-    if isinstance(expr, Star):
-        raise EvalError("* is only valid as a select item or inside COUNT(*)")
-    if isinstance(expr, ApiCall):
-        raise UnsupportedFeature(
-            f'unresolved model call f("{expr.question}"; ...) reached the SQL evaluator')
-    if isinstance(expr, Aggregate):
-        return scope.aggregate(expr)
-    if isinstance(expr, Unary):
-        if expr.op == "NOT":
-            v = _eval(expr.operand, scope)
-            if v is None:
-                return None
-            return 0.0 if _truthy(v) else 1.0
-        n = _coerce_number(_eval(expr.operand, scope))
-        return None if n is None else -n
-    if isinstance(expr, Binary):
-        return _eval_binary(expr, scope)
-    if isinstance(expr, InList):
-        return _eval_in(expr, scope)
-    if isinstance(expr, IsNull):
-        v = _eval(expr.subject, scope)
-        hit = v is None
-        if expr.negated:
-            hit = not hit
-        return 1.0 if hit else 0.0
-    if isinstance(expr, ScalarSubquery):
-        return _eval_subquery(expr, scope)
-    raise UnsupportedFeature(f"cannot evaluate {type(expr).__name__}")
-
-
-def _eval_binary(expr: Binary, scope: _Scope) -> Cell:
-    op = expr.op
-    if op == "AND":
-        left = _eval(expr.left, scope)
-        if left is not None and not _truthy(left):
-            return 0.0
-        right = _eval(expr.right, scope)
-        if right is not None and not _truthy(right):
-            return 0.0
-        if left is None or right is None:
-            return None
-        return 1.0
-    if op == "OR":
-        left = _eval(expr.left, scope)
-        if left is not None and _truthy(left):
-            return 1.0
-        right = _eval(expr.right, scope)
-        if right is not None and _truthy(right):
-            return 1.0
-        if left is None or right is None:
-            return None
-        return 0.0
-    left = _eval(expr.left, scope)
-    right = _eval(expr.right, scope)
-    if op in ("=", "!=", "<", "<=", ">", ">="):
-        return _compare(left, right, op)
-    if op in ("LIKE", "NOT LIKE"):
-        if left is None or right is None:
-            return None
-        hit = bool(_like_regex(str(right)).fullmatch(cell_to_text(left)))
-        if op == "NOT LIKE":
-            hit = not hit
-        return 1.0 if hit else 0.0
-    a, b = _coerce_number(left), _coerce_number(right)
-    if a is None or b is None:
-        return None
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return None if b == 0 else a / b
-    if op == "%":
-        return None if b == 0 else math.fmod(a, b)
-    raise UnsupportedFeature(f"operator {op!r}")
-
-
-def _eval_in(expr: InList, scope: _Scope) -> Cell:
-    subject = _eval(expr.subject, scope)
-    if subject is None:
-        return None
-    saw_null = False
-    hit = False
-    for item in expr.items:
-        r = _compare(subject, _eval(item, scope), "=")
-        if r is None:
-            saw_null = True
-        elif r == 1.0:
-            hit = True
-            break
-    if hit:
-        return 0.0 if expr.negated else 1.0
-    if saw_null:
-        return None
-    return 1.0 if expr.negated else 0.0
-
-
-def _eval_subquery(expr: ScalarSubquery, scope: _Scope) -> Cell:
+def _compile_subquery(expr: ScalarSubquery, t: Table, subqueries: dict):
     """The subquery's value, computed at its first use in the execute_sql
-    call; node identity is a sound key while the program is being run."""
+    call: it cannot refer to the outer row, so its value is the same for
+    every row. Node identity is a sound key while the program is run."""
     key = id(expr)
-    if key not in scope.subqueries:
-        scope.subqueries[key] = _scalar(_exec_query(expr.query, scope.base, scope.subqueries))
-    return scope.subqueries[key]
+
+    def subquery(_):
+        if key not in subqueries:
+            subqueries[key] = _scalar(_exec_query(expr.query, t, subqueries))
+        return subqueries[key]
+    return subquery
 
 
 def _scalar(rows: list) -> Cell:
@@ -373,37 +369,37 @@ def _scalar(rows: list) -> Cell:
 
 # ---- query execution ----
 
-def _rep_index(aggs: list, scope: _Scope, indices: list):
+def _compile_rep(aggs: list, t: Table, subqueries: dict):
     """Representative row for bare columns in an aggregate query: with a single
     MIN/MAX select aggregate, the first extremum row; otherwise the first row."""
-    if not indices:
-        return None
-    if len(aggs) == 1 and aggs[0].func in ("MIN", "MAX") and not isinstance(aggs[0].arg, Star):
-        agg = aggs[0]
+    if not (len(aggs) == 1 and aggs[0].func in ("MIN", "MAX")
+            and not isinstance(aggs[0].arg, Star)):
+        return lambda indices: indices[0] if indices else None
+    arg = _compile(aggs[0].arg, _ROW, t, subqueries)
+    better = operator.lt if aggs[0].func == "MIN" else operator.gt
+
+    def extremum(indices):
         best_i, best_key = None, None
         for i in indices:
-            v = _eval(agg.arg, scope.row(i))
-            if v is None:
-                continue
-            k = _sort_key(v)
-            better = best_key is None or (k < best_key if agg.func == "MIN" else k > best_key)
-            if better:
-                best_i, best_key = i, k
-        if best_i is not None:
-            return best_i
-    return indices[0]
+            v = arg(i)
+            if v is not None and (best_key is None or better(_sort_key(v), best_key)):
+                best_i, best_key = i, _sort_key(v)
+        return best_i if best_i is not None else indices[0] if indices else None
+    return extremum
 
 
-def _project(q: Query, scope: _Scope, base: Table):
-    out = []
+def _compile_entry(q: Query, ctx: str, t: Table, subqueries: dict):
+    """The closure giving (projected row, [order key cells]) of a row or group."""
+    readers = []
     for item in q.select_items:
-        if isinstance(item, Star):
-            if not isinstance(scope, _RowScope):
-                raise EvalError("* needs a plain row context")
-            out.extend(base.column(c).cells[scope.index] for c in base.column_names())
+        if not isinstance(item, Star):
+            readers.append(_compile(item, ctx, t, subqueries))
+        elif ctx == _ROW:
+            readers.extend(t.column(c).cells.__getitem__ for c in t.column_names())
         else:
-            out.append(_eval(item, scope))
-    return tuple(out)
+            readers.append(_fails(EvalError, "* needs a plain row context"))
+    keys = [_compile(o.expr, ctx, t, subqueries) for o in q.order_by]
+    return lambda r: (tuple([read(r) for read in readers]), [key(r) for key in keys])
 
 
 def _order_rows(entries: list, q: Query):
@@ -417,14 +413,13 @@ def _order_rows(entries: list, q: Query):
 
 
 def _exec_query(q: Query, t: Table, subqueries: dict) -> list:
-    top = _Scope(t, subqueries)
     if q.from_table is None:
-        rows = [_project(q, top, t)]
-        entries = [(r, [_eval(o.expr, top) for o in q.order_by]) for r in rows]
+        entries = [_compile_entry(q, _TOP, t, subqueries)(None)]
     else:
-        indices = list(range(t.row_count))
+        indices = range(t.row_count)
         if q.where is not None:
-            indices = [i for i in indices if _truthy(_eval(q.where, top.row(i)))]
+            where = _compile(q.where, _ROW, t, subqueries)
+            indices = [i for i in indices if _truthy(where(i))]
         select_aggs = [a for e in q.select_items for a in aggregates(e)]
         is_aggregate = (
             bool(q.group_by)
@@ -432,21 +427,19 @@ def _exec_query(q: Query, t: Table, subqueries: dict) -> list:
             or (q.having is not None)
             or any(aggregates(o.expr) for o in q.order_by)
         )
-        entries = []
         if is_aggregate:
-            groups = _group(q, top, indices)
+            groups = _group(q, t, subqueries, indices)
+            rep = _compile_rep(select_aggs, t, subqueries)
+            having = (_compile(q.having, _GROUP, t, subqueries) if q.having is not None
+                      else lambda _: 1.0)
+            entry = _compile_entry(q, _GROUP, t, subqueries)
+            entries = []
             for g_indices in groups:
-                scope = _GroupScope(t, subqueries, g_indices,
-                                    _rep_index(select_aggs, top, g_indices))
-                if q.having is not None and not _truthy(_eval(q.having, scope)):
-                    continue
-                entries.append((_project(q, scope, t),
-                                [_eval(o.expr, scope) for o in q.order_by]))
+                g = (g_indices, rep(g_indices))
+                if _truthy(having(g)):
+                    entries.append(entry(g))
         else:
-            for i in indices:
-                scope = top.row(i)
-                entries.append((_project(q, scope, t),
-                                [_eval(o.expr, scope) for o in q.order_by]))
+            entries = list(map(_compile_entry(q, _ROW, t, subqueries), indices))
     if q.distinct:
         seen = set()
         kept = []
@@ -466,14 +459,13 @@ def _exec_query(q: Query, t: Table, subqueries: dict) -> list:
     return rows
 
 
-def _group(q: Query, top: _Scope, indices: list) -> list:
+def _group(q: Query, t: Table, subqueries: dict, indices) -> list:
     if not q.group_by:
         return [indices]  # single group, possibly empty (COUNT(*) over no rows is 0)
+    keys = [_compile(g, _ROW, t, subqueries) for g in q.group_by]
     buckets: dict = {}
     for i in indices:
-        scope = top.row(i)
-        key = tuple(_group_key(_eval(g, scope)) for g in q.group_by)
-        buckets.setdefault(key, []).append(i)
+        buckets.setdefault(tuple([_group_key(key(i)) for key in keys]), []).append(i)
     return list(buckets.values())  # insertion order = first-appearance order
 
 

@@ -9,6 +9,7 @@ docs/grammar.md for the full grammar.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -477,7 +478,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Literal(float(tok.value), pos=tok.pos)
+            value = float(tok.value)
+            if not math.isfinite(value):  # the evaluator computes with finite numbers only
+                raise ParseError(f"number {tok.value} is beyond float range", tok.pos)
+            return Literal(value, pos=tok.pos)
         if tok.kind == "string":
             self.advance()
             return Literal(tok.value, pos=tok.pos)

@@ -43,7 +43,8 @@ def make_random_table(rng):
 
 
 # text cells that read as numbers, and some that only look like them
-NUMERIC_TEXT = ["3", "12", " 7", "-2", "3.5", "1e1", "0", "apple", "12abc", "nan", "inf", ""]
+NUMERIC_TEXT = ["3", "3.0", "12", " 7", "-2", "3.5", "1e1", "10", "0", "apple", "12abc", "nan",
+                "inf", ""]
 DATE_LITERALS = ["2020-06-01", "2021-03-03", "1999-12-31", "March 3, 2021", "1 jan 2020",
                  "5/17/2020", "not a date"]
 

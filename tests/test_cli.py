@@ -358,27 +358,41 @@ def test_run_loads_each_table_once_per_run(tmp_path, capsys, monkeypatch):
     assert len(runs[0].splitlines()) == 3
 
 
-def test_run_survives_a_deeply_nested_candidate(tmp_path, capsys):
+def run_with_third_b01_candidate(tmp_path, capsys, program: str) -> tuple:
+    """Records of `lmsql run` on the bench dataset with the third candidate
+    for b01 replaced by program, and of the plain bench run. Both exit 0."""
     rules = json.loads((BENCH / "mock.json").read_text())
-    deep = "SELECT " + "(" * 400 + "COUNT(*)" + ")" * 400 + " FROM w"
-    rules[0]["responses"][2] = deep  # the third candidate for b01
+    rules[0]["responses"][2] = program
     (tmp_path / "mock.json").write_text(json.dumps(rules))
     config = json.loads((BENCH / "config.json").read_text())
     config.update(backend={"mock": str(tmp_path / "mock.json")},
                   exemplars=str(BENCH / "exemplars.json"))
     (tmp_path / "config.json").write_text(json.dumps(config))
-    outs = {}
-    for name, config_path in (("deep", tmp_path / "config.json"), ("plain", BENCH / "config.json")):
+    outs = []
+    for name, config_path in (("changed", tmp_path / "config.json"),
+                              ("plain", BENCH / "config.json")):
         code, _, _ = run_cli(capsys, "run", str(BENCH / "dataset.jsonl"),
                              "--config", str(config_path), "-o", str(tmp_path / f"{name}.jsonl"))
         assert code == 0
-        outs[name] = [json.loads(line) for line in (tmp_path / f"{name}.jsonl").open()]
-    assert len(outs["deep"]) == len((BENCH / "dataset.jsonl").read_text().splitlines())
-    deep_candidate = outs["deep"][0]["candidates"][2]
+        outs.append([json.loads(line) for line in (tmp_path / f"{name}.jsonl").open()])
+    assert len(outs[0]) == len((BENCH / "dataset.jsonl").read_text().splitlines())
+    assert outs[0][0]["final_answer"] == outs[1][0]["final_answer"]
+    assert outs[0][1:] == outs[1][1:]
+    return outs[0][0]["candidates"][2]
+
+
+def test_run_survives_a_deeply_nested_candidate(tmp_path, capsys):
+    deep = "SELECT " + "(" * 400 + "COUNT(*)" + ")" * 400 + " FROM w"
+    deep_candidate = run_with_third_b01_candidate(tmp_path, capsys, deep)
     assert deep_candidate["program"] == deep and not deep_candidate["parsed"]
     assert "nesting deeper than" in deep_candidate["error"]
-    assert outs["deep"][0]["final_answer"] == outs["plain"][0]["final_answer"]
-    assert outs["deep"][1:] == outs["plain"][1:]
+
+
+def test_run_survives_a_candidate_that_overflows(tmp_path, capsys):
+    program = "SELECT COUNT(*) * 1e308 * 10 FROM w"
+    candidate = run_with_third_b01_candidate(tmp_path, capsys, program)
+    assert candidate["program"] == program and candidate["error"] is None
+    assert candidate["answer"] == ["none"]
 
 
 def test_inline_tables_are_built_per_example(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmsql import (Answer, EvalError, UnknownColumn, UnsupportedFeature,
+from lmsql import (Answer, Column, EvalError, ParseError, Table, UnknownColumn, UnsupportedFeature,
                    denotation_to_answer, execute_sql, parse)
 from lmsql import engine
 
@@ -168,6 +169,33 @@ def test_scalar_subquery_runs_once_per_execute(members, monkeypatch):
     assert answer("SELECT COUNT(*) FROM w WHERE 0 = 1 AND duration > (SELECT member FROM w)",
                   members) == ["0"]
     assert len(queries) == 5  # never used, so never run: no multi-row error
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT COUNT(*) * 1e308 * 10 FROM w",
+    "SELECT (1e308 * 10) % 2",
+    "SELECT -(big * 10) FROM w",
+    "SELECT 1e308 + 1e308 - 1e308",
+    "SELECT big / 1e-308 FROM w WHERE big + big > 0 OR big * -2 IS NULL",
+    "SELECT SUM(big) FROM w",
+    "SELECT AVG(big), SUM(big) FROM w GROUP BY big",
+])
+def test_numbers_beyond_float_range_are_null(sql):
+    t = make_table("w", ["member", "big"], [["a", "1e308"], ["b", "1e308"]])
+    values = denotation_to_answer(run(sql, t)).display()
+    assert values and set(values) == {"none"}
+
+
+def test_infinite_cells_compute_as_null():
+    t = Table("w", (Column("x", "real", (math.inf, -math.inf)),))
+    assert answer("SELECT -x, x % 2, x + 1 FROM w", t) == ["none"] * 6
+    assert answer("SELECT SUM(x), AVG(x) FROM w", t) == ["none"] * 2
+
+
+def test_number_literal_beyond_float_range_is_a_parse_error():
+    with pytest.raises(ParseError, match="number 1e400 is beyond float range") as e:
+        parse("SELECT a FROM w WHERE a > 1e400")
+    assert e.value.position == 26
 
 
 def test_unknown_column(members):

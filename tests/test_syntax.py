@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from lmsql import (ApiCall, Answer, LexError, MockBackend, ParseError, RoleAmbiguity,
                    api_calls_bottom_up, assign_roles, parse, print_program,
                    run_program, tokenize)
-from lmsql import syntax
+from lmsql import interp, syntax
 from lmsql.syntax import (MAX_DEPTH, Aggregate, Binary, ColumnRef, Literal, ScalarSubquery,
                           children, map_children)
 
@@ -278,8 +279,32 @@ def test_wide_programs_are_not_deep(text):
     parse(text)
 
 
+EXECUTE_SQL_FRAMES = 300  # the most Python frames execute_sql may stack, of 1,000 allowed
+
+
+def frames_of(fn, peaks: list):
+    """fn, recording in peaks the most frames each call of it stacks."""
+    def profiled(*args):
+        depth = peak = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, peak
+            if event == "call":
+                depth += 1
+                peak = max(peak, depth)
+            elif event == "return":
+                depth -= 1
+        sys.setprofile(profile)
+        try:
+            return fn(*args)
+        finally:
+            sys.setprofile(None)
+            peaks.append(peak)
+    return profiled
+
+
 @pytest.mark.parametrize("shape", DEEP)
-def test_deepest_accepted_program_runs_on_a_worker(shape):
+def test_deepest_accepted_program_runs_on_a_worker(shape, monkeypatch):
     nested, _ = DEEP[shape]
     n = 1
     while True:  # the cap, not another error, ends the climb
@@ -299,6 +324,9 @@ def test_deepest_accepted_program_runs_on_a_worker(shape):
         print_program(assign_roles(program))
         return run_program(program, table, backend).answer
 
+    peaks: list = []
+    monkeypatch.setattr(interp, "execute_sql", frames_of(interp.execute_sql, peaks))
     with ThreadPoolExecutor(max_workers=1) as executor:
         answer = executor.submit(through_the_pipeline, nested(n)).result()
     assert isinstance(answer, Answer)
+    assert len(peaks) == 1 and peaks[0] <= EXECUTE_SQL_FRAMES, peaks
