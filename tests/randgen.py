@@ -77,7 +77,7 @@ def _rich_atom(rng, num_cols) -> str:
         lambda: f"s {cmp_op} {rng.randint(-3, 12)}",
         lambda: f"s {cmp_op} '{rng.choice(NUMERIC_TEXT)}'",
         lambda: f"s {'NOT ' if rng.random() < 0.3 else ''}IN (3, '12', 'apple', {n})",
-        lambda: f"s LIKE '{rng.choice(['1%', '%a%', '_'])}'",
+        lambda: f"s {'NOT ' if rng.random() < 0.5 else ''}LIKE '{rng.choice(['1%', '%a%', '_'])}'",
         lambda: f"(s + {n}) {cmp_op} {rng.randint(-3, 12)}",
         lambda: f"({n} / {rng.choice([0, 2])}) {cmp_op} s",
         lambda: f"(SELECT COUNT(*) FROM w WHERE s > 2) {cmp_op} {n}",

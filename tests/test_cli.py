@@ -358,9 +358,10 @@ def test_run_loads_each_table_once_per_run(tmp_path, capsys, monkeypatch):
     assert len(runs[0].splitlines()) == 3
 
 
-def run_with_third_b01_candidate(tmp_path, capsys, program: str) -> tuple:
-    """Records of `lmsql run` on the bench dataset with the third candidate
-    for b01 replaced by program, and of the plain bench run. Both exit 0."""
+def run_with_third_b01_candidate(tmp_path, capsys, program: str) -> dict:
+    """The record of the third candidate for b01 when program replaces it in
+    `lmsql run` on the bench dataset. The run must exit 0, write every
+    record, and otherwise agree with the plain bench run."""
     rules = json.loads((BENCH / "mock.json").read_text())
     rules[0]["responses"][2] = program
     (tmp_path / "mock.json").write_text(json.dumps(rules))

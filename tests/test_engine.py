@@ -7,8 +7,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmsql import (Answer, Column, EvalError, ParseError, Table, UnknownColumn, UnsupportedFeature,
-                   denotation_to_answer, execute_sql, parse)
+from lmsql import (Answer, Column, EvalError, ParseError, Table, UnknownColumn,
+                   UnsupportedFeature, denotation_to_answer, execute_sql, parse)
 from lmsql import engine
 
 from conftest import make_table
