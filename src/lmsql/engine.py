@@ -180,7 +180,8 @@ def _like_regex(pattern: str):
 # fixed at compile time: in _ROW the index of a row, in _GROUP a pair
 # (the group's row indices, its representative row index or None), in _TOP
 # (a select without FROM) None. Compiling never raises: a misuse compiles to
-# a closure that raises when called, where the tree walk used to raise.
+# a closure that raises when called, so the error arises only where a row or
+# group reaches it (an unknown column in a WHERE over no rows is no error).
 
 _ROW, _GROUP, _TOP = "row", "group", "top"
 
