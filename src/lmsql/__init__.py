@@ -23,8 +23,8 @@ from .metrics import (EvalOutcome, EvalReport, JUDGES, evaluate_dataset,
                       official_em, semantic_em, string_em)
 from .prompts import (Exemplar, GenerationConfig, INSTRUCTIONS, load_exemplars,
                       parse_candidates, plan_parse_prompt, sample_candidates)
-from .syntax import (ApiCall, Program, api_calls_bottom_up, assign_roles,
-                     has_api_calls, parse, print_program, tokenize)
+from .syntax import (ApiCall, Program, api_calls_bottom_up, assign_roles, parse,
+                     print_program, tokenize)
 from .table import (Cell, Column, Table, augment, linearize, load_table,
                     normalize, project, table_from_json)
 from .voting import STRATEGIES, Candidate, VoteReport, vote

@@ -266,20 +266,28 @@ def with_cache(backend: Backend, cache_dir, seed: int = 0) -> Backend:
     return CachingBackend(backend, cache_dir, seed=seed)
 
 
+# HttpBackend's fixed settings
+MAX_ATTEMPTS = 3
+BACKOFF_S = 0.5  # the wait after the first failed attempt; it doubles after each
+RETRY_AFTER_CAP_S = 30.0  # the longest wait a reply's Retry-After can ask for
+REQUESTS_PER_MINUTE = 200
+TOKEN_BUDGET = 8000  # approx_tokens of the prompt plus max_output_tokens
+TIMEOUT_S = 60.0
+
+
 class _TokenBucket:
-    def __init__(self, per_minute: int, clock=time.monotonic, sleeper=time.sleep):
+    def __init__(self, per_minute: int, sleeper=time.sleep):
         self.capacity = float(per_minute)
         self.tokens = float(per_minute)
         self.rate = per_minute / 60.0
-        self.clock = clock
         self.sleeper = sleeper
-        self.updated = clock()
+        self.updated = time.monotonic()
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
         while True:
             with self._lock:
-                now = self.clock()
+                now = time.monotonic()
                 self.tokens = min(self.capacity, self.tokens + (now - self.updated) * self.rate)
                 self.updated = now
                 if self.tokens >= 1.0:
@@ -294,32 +302,25 @@ class HttpBackend(Backend):
 
     POSTs {prompt, temperature, top_p, max_tokens, n, stop} and expects
     {"choices": [{"text": ...}, ...]}. Retries transient failures with
-    exponential backoff and enforces a client-side request rate plus an
-    approximate per-request token budget.
+    exponential backoff, or after the wait a 429 or 5xx reply's Retry-After
+    asks for, and enforces a client-side request rate plus an approximate
+    per-request token budget.
     """
 
     def __init__(self, endpoint: str, model: str = "", api_key: str = "",
-                 max_retries: int = 3, backoff: float = 0.5,
-                 requests_per_minute: int = 200, token_budget: int = 8000,
-                 timeout: float = 60.0, sleeper=time.sleep,
-                 urlopen=urllib.request.urlopen):
+                 sleeper=time.sleep, urlopen=urllib.request.urlopen):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
         self.identity = f"remote:{model or endpoint}"
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.token_budget = token_budget
-        self.timeout = timeout
         self.sleeper = sleeper
         self.urlopen = urlopen
-        self._bucket = _TokenBucket(requests_per_minute, sleeper=sleeper)
+        self._bucket = _TokenBucket(REQUESTS_PER_MINUTE, sleeper=sleeper)
 
     def _complete(self, req: CompletionRequest) -> list:
         needed = approx_tokens(req.prompt) + req.max_output_tokens
-        if needed > self.token_budget:
-            raise RateLimited(
-                f"request needs ~{needed} tokens, budget is {self.token_budget}")
+        if needed > TOKEN_BUDGET:
+            raise RateLimited(f"request needs ~{needed} tokens, budget is {TOKEN_BUDGET}")
         payload = {
             "prompt": req.prompt,
             "temperature": req.temperature,
@@ -336,25 +337,29 @@ class HttpBackend(Backend):
         request = urllib.request.Request(self.endpoint, data=json.dumps(payload).encode("utf-8"),
                                          headers=headers, method="POST")
         last_error = None
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_ATTEMPTS):
             self._bucket.acquire()
+            wait = BACKOFF_S * (2 ** attempt)
             try:
-                with self.urlopen(request, timeout=self.timeout) as resp:
+                with self.urlopen(request, timeout=TIMEOUT_S) as resp:
                     status, body = resp.status, resp.read()
             except urllib.error.HTTPError as e:
                 detail = _error_text(e)
                 if e.code != 429 and e.code < 500:
                     raise TransportError(f"HTTP {e.code}: {detail}")
                 last_error = f"HTTP {e.code}"
+                retry_after = (e.headers or {}).get("Retry-After", "").strip()
+                if re.fullmatch(r"[0-9]+", retry_after):  # seconds; an HTTP-date is not honoured
+                    wait = min(float(retry_after), RETRY_AFTER_CAP_S)
             except (OSError, http.client.HTTPException) as e:
                 last_error = str(e)
             else:
                 if status != 200:
                     raise TransportError(f"HTTP {status}: {body[:200].decode('utf-8', 'replace')}")
                 return self._parse(body)
-            if attempt < self.max_retries - 1:
-                self.sleeper(self.backoff * (2 ** attempt))
-        raise TransportError(f"service unreachable after {self.max_retries} attempts: {last_error}")
+            if attempt < MAX_ATTEMPTS - 1:
+                self.sleeper(wait)
+        raise TransportError(f"service unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
 
     def _parse(self, body: bytes) -> list:
         try:

@@ -18,12 +18,12 @@ from .backend import (Backend, CompletionRequest, HttpBackend, NullBackend,
 from .engine import Answer
 from .errors import (BackendError, BudgetExhausted, ConfigError, FormatError,
                      IoError, LmSqlError, ParseError, ResolutionError)
-from .interp import (ExecutionConfig, default_exec_demos, load_exec_demos,
-                     run_program)
+from .interp import (ExecutionConfig, ExecutionTrace, default_exec_demos,
+                     load_exec_demos, run_program)
 from .metrics import JUDGES, evaluate_dataset
 from .prompts import (INSTRUCTIONS, GenerationConfig, load_exemplars,
                       parse_candidates, plan_parse_prompt, sample_candidates)
-from .syntax import Program, has_api_calls, parse, print_program
+from .syntax import Program, parse, print_program
 from .table import (Column, Table, load_table, normalize, read_json, table_from_json,
                     text_fields)
 from .voting import STRATEGIES, Candidate, vote
@@ -36,6 +36,7 @@ EXIT_SYNTAX = 5
 
 
 _PATHS = ("dataset", "exemplars", "exec_demo_pool", "cache_dir")
+_PRESET_KEYS = ("temperature", "sampling_n", "num_shots")  # what --dataset-style sets
 _BACKEND_VALUES = {"mock": (str, type(None)), "remote": dict, "none": object}
 
 
@@ -94,23 +95,21 @@ class RunConfig:
                 raise ConfigError(f"bad {name} value: {e}")
 
 
-def _known_keys(obj, cls, what: str, extra=()) -> dict:
+def _known_keys(obj, cls, what: str) -> dict:
     """A copy of the config object obj, whose keys must be fields of cls."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    unknown = set(obj) - {f.name for f in dc_fields(cls)} - set(extra)
+    unknown = set(obj) - {f.name for f in dc_fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     return dict(obj)
 
 
 def _generation_from_dict(obj) -> GenerationConfig:
-    obj = _known_keys(obj, GenerationConfig, "generation", extra=("dataset",))
-    dataset = obj.pop("dataset", None)
-    base = GenerationConfig.for_dataset(dataset) if dataset else GenerationConfig()
+    obj = _known_keys(obj, GenerationConfig, "generation")
     if "stop" in obj:
         obj["stop"] = tuple(obj["stop"])
-    return replace(base, **obj)
+    return GenerationConfig(**obj)
 
 
 def load_run_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
@@ -156,14 +155,15 @@ def load_run_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
         if value is not None:
             values[key] = value
     gen_overrides = {}
+    if getattr(args, "dataset_style", None):
+        preset = GenerationConfig.for_dataset(args.dataset_style)
+        gen_overrides = {key: getattr(preset, key) for key in _PRESET_KEYS}
+        values["instruction"] = INSTRUCTIONS[args.dataset_style]
     if getattr(args, "n", None) is not None:
         gen_overrides["sampling_n"] = args.n
     if getattr(args, "temperature", None) is not None:
         gen_overrides["temperature"] = args.temperature
-    if getattr(args, "dataset_style", None):
-        values["generation"] = GenerationConfig.for_dataset(args.dataset_style, **gen_overrides)
-        values["instruction"] = INSTRUCTIONS[args.dataset_style]
-    elif gen_overrides:
+    if gen_overrides:
         values["generation"] = replace(values.get("generation", GenerationConfig()),
                                        **gen_overrides)
     return RunConfig(**values)
@@ -283,7 +283,7 @@ def _execute_candidate(index: int, item, table: Table, backend: Backend, pool,
                        exec_cfg: ExecutionConfig) -> Candidate:
     if not isinstance(item, Program):
         return Candidate(index, item, None, False)
-    uses_calls = has_api_calls(item)
+    uses_calls = bool(item.calls)
     try:
         trace = run_program(item, table, backend, pool, exec_cfg)
     except LmSqlError as e:
@@ -293,26 +293,32 @@ def _execute_candidate(index: int, item, table: Table, backend: Backend, pool,
     return Candidate(index, item, trace.answer, uses_calls)
 
 
+def _print_trace(trace: ExecutionTrace) -> None:
+    """Each model call's prompt, response and (for a map call) materialized
+    column, then the rewritten plain SQL."""
+    for res in trace.resolutions:
+        is_column = isinstance(res.outcome, Column)
+        role = "column" if is_column else "value"
+        print(f'--- call f("{res.call.question}"; ...) -> {role} {res.generated_name}')
+        print("--- prompt:")
+        print(res.prompt)
+        print("--- response:")
+        print(res.response)
+        if is_column:
+            print("--- materialized:")
+            print("\t".join("" if c is None else str(c) for c in res.outcome.cells))
+    print(f"--- rewritten: {print_program(trace.rewritten)}")
+
+
 def cmd_exec(args) -> int:
     cfg = load_run_config(args.config, args)
     program = parse(args.program)
-    backend = make_backend(cfg) if has_api_calls(program) else NullBackend()
+    backend = make_backend(cfg) if program.calls else NullBackend()
     table = _load_normalized_table(args.table)
     pool = _load_pool(cfg)
     trace = run_program(program, table, backend, pool, cfg.execution)
     if args.trace:
-        for res in trace.resolutions:
-            is_column = isinstance(res.outcome, Column)
-            role = "column" if is_column else "value"
-            print(f'--- call f("{res.call.question}"; ...) -> {role} {res.generated_name}')
-            print("--- prompt:")
-            print(res.prompt)
-            print("--- response:")
-            print(res.response)
-            if is_column:
-                print("--- materialized:")
-                print("\t".join("" if c is None else str(c) for c in res.outcome.cells))
-        print(f"--- rewritten: {print_program(trace.rewritten)}")
+        _print_trace(trace)
     print("\t".join(trace.answer.display()))
     return EXIT_OK
 
@@ -435,12 +441,11 @@ def cmd_repl(args) -> int:
             break
         try:
             program = parse(line)
-            if backend is None and has_api_calls(program):
+            if backend is None and program.calls:
                 backend = make_backend(cfg)
             trace = run_program(program, table, backend or NullBackend(), pool, cfg.execution)
             if args.trace:
-                for res in trace.resolutions:
-                    print(f'f("{res.call.question}") -> {res.generated_name}: {res.response!r}')
+                _print_trace(trace)
             print("\t".join(trace.answer.display()) or "<empty>")
         except LmSqlError as e:
             print(f"error: {e}", file=sys.stderr)

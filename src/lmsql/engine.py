@@ -16,25 +16,14 @@ from datetime import date
 from functools import cached_property, lru_cache
 
 from .errors import EvalError, UnknownColumn, UnsupportedFeature
-from .syntax import (Aggregate, ApiCall, Binary, ColumnRef, InList, IsNull,
-                     Literal, Program, Query, ScalarSubquery, Star, Unary,
-                     aggregates, has_api_calls)
+from .syntax import (Aggregate, Binary, ColumnRef, InList, IsNull, Literal,
+                     Program, Query, ScalarSubquery, Star, Unary, aggregates)
 from .table import Cell, Table, cell_to_text, format_number, parse_date_like, parse_number
 
 
 @dataclass(frozen=True)
 class Denotation:
     rows: tuple  # tuple of row tuples
-
-    @property
-    def is_scalar(self) -> bool:
-        return len(self.rows) == 1 and len(self.rows[0]) == 1
-
-    @property
-    def scalar(self) -> Cell:
-        if not self.is_scalar:
-            raise EvalError(f"denotation is not scalar ({len(self.rows)} rows)")
-        return self.rows[0][0]
 
 
 EMPTY_KEY = "<empty>"
@@ -89,20 +78,13 @@ def _coerce_number(v: Cell):
     return None
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def _limit_count(value) -> int:
-    """LIMIT's row count: a number from the program text, or a value-call
-    reply that must spell an integer."""
-    if isinstance(value, str) and _INTEGER.fullmatch(value.strip()):
-        try:
-            return int(value)
-        except ValueError:  # more digits than int() accepts from text
-            pass
-    elif isinstance(value, float) and math.isfinite(value):
-        return int(value)
-    raise EvalError(f"LIMIT needs an integer, got {value!r}")
+    """LIMIT's row count, from the program text or a value call's reply: as
+    in sqlite, a number (numeric text counts) with no fractional part."""
+    n = _coerce_number(value)
+    if n is None or not n.is_integer():  # is_integer is False for inf
+        raise EvalError(f"LIMIT needs an integer, got {value!r}")
+    return int(n)
 
 
 def _truthy(v: Cell) -> bool:
@@ -223,9 +205,6 @@ def _compile(expr, ctx: str, t: Table, subqueries: dict):
         return _compile_aggregate(expr, t, subqueries)
     if isinstance(expr, Star):
         return _fails(EvalError, "* is only valid as a select item or inside COUNT(*)")
-    if isinstance(expr, ApiCall):
-        return _fails(UnsupportedFeature, f'unresolved model call f("{expr.question}"; ...) '
-                                          "reached the SQL evaluator")
     if isinstance(expr, ScalarSubquery):
         return _compile_subquery(expr, t, subqueries)
     if isinstance(expr, Unary):
@@ -453,9 +432,7 @@ def _exec_query(q: Query, t: Table, subqueries: dict) -> list:
     if q.order_by:
         entries = _order_rows(entries, q)
     rows = [e[0] for e in entries]
-    if q.limit is not None:
-        if not isinstance(q.limit, Literal):
-            raise UnsupportedFeature("LIMIT with an unresolved model call")
+    if q.limit is not None:  # a Literal: execute_sql refuses unresolved calls
         rows = rows[:max(_limit_count(q.limit.value), 0)]
     return rows
 
@@ -472,6 +449,6 @@ def _group(q: Query, t: Table, subqueries: dict, indices) -> list:
 
 def execute_sql(p: Program, t: Table) -> Denotation:
     """Execute a model-call-free program against a table."""
-    if has_api_calls(p):
+    if p.calls:
         raise UnsupportedFeature("program still contains model calls; resolve them first")
     return Denotation(tuple(_exec_query(p.root, t, {})))

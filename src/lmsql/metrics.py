@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .engine import Answer, canonical_value
 from .table import parse_date_like, parse_number
@@ -29,7 +29,6 @@ _NUMBER_WITH_UNIT = re.compile(r"^(-?\d+(?:\.\d+)?(?:e[+-]?\d+)?)\s+([a-z][a-z. 
 class EvalOutcome:
     matched: bool
     matcher_used: str  # string | official | numeric | date | semantic-prematch-AB | semantic-prematch-units
-    detail: str = ""
 
 
 NUM_TOLERANCE = 1e-6
@@ -80,7 +79,7 @@ def string_em(pred: Answer, gold: Answer) -> EvalOutcome:
     """Element-wise identical value strings after trimming; order-sensitive."""
     a = [_string_render(v) for v in pred.values]
     b = [_string_render(v) for v in gold.values]
-    return EvalOutcome(a == b, "string", f"{a} vs {b}")
+    return EvalOutcome(a == b, "string")
 
 
 def official_em(pred: Answer, gold: Answer) -> EvalOutcome:
@@ -96,7 +95,7 @@ def official_em(pred: Answer, gold: Answer) -> EvalOutcome:
             matcher = "numeric"
         elif kinds == {"date"}:
             matcher = "date"
-    return EvalOutcome(matched, matcher, f"{a} vs {b}")
+    return EvalOutcome(matched, matcher)
 
 
 def _choice_option_pairs(question: str) -> list:
@@ -177,13 +176,9 @@ class EvalReport:
     def accuracy(self) -> Optional[float]:
         return None if self.total == 0 else self.matched / self.total
 
-    def to_dict(self) -> dict:
-        return {"total": self.total, "matched": self.matched, "accuracy": self.accuracy}
 
-
-def evaluate_dataset(results: list, judge) -> EvalReport:
-    """results: (pred Answer, gold Answer, question) triples. judge: name or
-    callable(pred, gold, question) -> EvalOutcome."""
-    fn: Callable = JUDGES[judge] if isinstance(judge, str) else judge
-    outcomes = tuple(fn(pred, gold, question) for pred, gold, question in results)
+def evaluate_dataset(results: list, judge: str) -> EvalReport:
+    """results: (pred Answer, gold Answer, question) triples; judge: a name
+    in JUDGES."""
+    outcomes = tuple(JUDGES[judge](pred, gold, question) for pred, gold, question in results)
     return EvalReport(len(outcomes), sum(1 for o in outcomes if o.matched), outcomes)

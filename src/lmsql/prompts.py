@@ -12,7 +12,7 @@ rows only until they fill the budget, and builds the text once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .backend import CHARS_PER_TOKEN, Backend, CompletionRequest, approx_tokens
@@ -49,13 +49,12 @@ class GenerationConfig:
     token_budget: int = 8000
 
     @classmethod
-    def for_dataset(cls, name: str, **overrides) -> "GenerationConfig":
+    def for_dataset(cls, name: str) -> "GenerationConfig":
         try:
             temperature, n, shots = _PARSING_DEFAULTS[name]
         except KeyError:
             raise ValueError(f"no generation defaults for dataset {name!r}")
-        cfg = cls(temperature=temperature, sampling_n=n, num_shots=shots)
-        return replace(cfg, **overrides) if overrides else cfg
+        return cls(temperature=temperature, sampling_n=n, num_shots=shots)
 
 
 @dataclass(frozen=True)

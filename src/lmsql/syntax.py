@@ -684,10 +684,6 @@ def api_calls_bottom_up(p: Program) -> list:
     return list(p.calls)
 
 
-def has_api_calls(p: Program) -> bool:
-    return bool(p.calls)
-
-
 # ---- role assignment ----
 
 def _assign(node, scalar_ctx: bool = False):

@@ -216,14 +216,15 @@ def text_fields(entry, names: tuple, where: str) -> tuple:
     return tuple(entry[name] for name in names)
 
 
-def load_table(path, format: Optional[str] = None) -> Table:
-    """Load an un-normalized table from CSV, TSV or JSON. Column order is
-    preserved; all CSV/TSV cells stay text until normalize()."""
+def load_table(path) -> Table:
+    """Load an un-normalized table from CSV, TSV or JSON, by the file's
+    suffix. Column order is preserved; all CSV/TSV cells stay text until
+    normalize()."""
     p = Path(path)
-    fmt = format or {".csv": "csv", ".tsv": "tsv", ".json": "json"}.get(p.suffix.lower())
-    if fmt not in ("csv", "tsv", "json"):
-        raise FormatError(f"unknown table format {fmt!r} for {p.name}")
-    if fmt == "json":
+    suffix = p.suffix.lower()
+    if suffix not in (".csv", ".tsv", ".json"):
+        raise FormatError(f"unknown table format {p.suffix!r} for {p.name}")
+    if suffix == ".json":
         return table_from_json(read_json(p, "table"))
     try:
         raw = p.read_text(encoding="utf-8")
@@ -231,7 +232,7 @@ def load_table(path, format: Optional[str] = None) -> Table:
         raise IoError(f"cannot read {p}: {e}")
     except UnicodeDecodeError as e:
         raise FormatError(f"{p.name} is not UTF-8 text: {e}")
-    delim = "," if fmt == "csv" else "\t"
+    delim = "," if suffix == ".csv" else "\t"
     rows = list(csv.reader(raw.splitlines(), delimiter=delim))
     if not rows:
         raise FormatError(f"{p.name} is empty")

@@ -281,9 +281,10 @@ def test_cache_memory_only_writes_no_files(tmp_path, monkeypatch):
 class FakeResponse:
     """A reply as urlopen hands it back; urlopen raises HTTPError for status >= 400."""
 
-    def __init__(self, status, body=None, text=""):
+    def __init__(self, status, body=None, text="", headers=None):
         self.status = status
         self.body = (text if body is None else json.dumps(body)).encode("utf-8")
+        self.headers = headers or {}
 
     def read(self):
         return self.body
@@ -308,7 +309,7 @@ class FakeUrlopen:
         if isinstance(step, Exception):
             raise step
         if step.status >= 400:
-            raise urllib.error.HTTPError(request.full_url, step.status, "error", {},
+            raise urllib.error.HTTPError(request.full_url, step.status, "error", step.headers,
                                          io.BytesIO(step.body))
         return step
 
@@ -335,6 +336,29 @@ def test_http_retries_then_succeeds():
     ])
     assert backend.complete(req("p")) == ["ok"]
     assert sleeps == [0.5, 1.0]  # exponential backoff between attempts
+
+
+@pytest.mark.parametrize("retry_after, wait", [
+    ("2", 2.0),
+    (" 0 ", 0.0),
+    ("86400", lmsql.backend.RETRY_AFTER_CAP_S),  # a hostile header cannot stall the run
+    ("9" * 5000, lmsql.backend.RETRY_AFTER_CAP_S),
+    (None, 0.5),  # no header: the backoff schedule
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5),  # an HTTP-date is not honoured
+    ("-3", 0.5),
+    ("1.5", 0.5),
+    ("soon", 0.5),
+])
+@pytest.mark.parametrize("status", [429, 503])
+def test_http_honours_retry_after(status, retry_after, wait):
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    backend, sleeps = http_backend([
+        FakeResponse(status, headers=headers),
+        FakeResponse(status),
+        FakeResponse(200, {"choices": [{"text": "ok"}]}),
+    ])
+    assert backend.complete(req("p")) == ["ok"]
+    assert sleeps == [wait, 1.0]  # the next wait follows the schedule again
 
 
 def test_http_gives_up_after_bounded_retries():
@@ -365,7 +389,9 @@ def test_http_bad_reply():
 
 
 def test_http_token_budget():
-    backend, _ = http_backend([], token_budget=100)
-    with pytest.raises(RateLimited):
-        backend.complete(req("x" * 1000))
-    assert approx_tokens("x" * 1000) == 250
+    backend, _ = http_backend([])
+    prompt = "x" * 4 * 7600  # 7600 tokens, plus 512 for the output, is over 8000
+    assert approx_tokens(prompt) == 7600
+    with pytest.raises(RateLimited, match="budget is 8000"):
+        backend.complete(req(prompt))
+    assert backend.urlopen.posts == []

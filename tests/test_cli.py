@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lmsql import GenerationConfig, MockBackend, mock_from_fixtures, with_cache
+from lmsql import INSTRUCTIONS, GenerationConfig, MockBackend, mock_from_fixtures, with_cache
 from lmsql import cli
 from lmsql.cli import RunConfig, main
 
@@ -186,6 +186,18 @@ def test_repl_builds_its_backend_once(monkeypatch, capsys):
     assert len(loads) == 1
 
 
+def test_repl_trace_is_execs_trace(monkeypatch, capsys):
+    program = "SELECT shirt FROM w WHERE f(\"North America?\"; made_in) = 'yes' ORDER BY shirt"
+    backend = f"mock:{FIG1 / 'mock.json'}"
+    code, exec_out, _ = run_cli(capsys, "exec", program, SHIRTS, "--backend", backend, "--trace")
+    assert code == 0 and "--- materialized:" in exec_out
+    lines = iter([program, "exit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    code, repl_out, _ = run_cli(capsys, "repl", SHIRTS, "--backend", backend, "--trace")
+    assert code == 0
+    assert repl_out.split("\n", 1)[1] == exec_out  # after the table's header line
+
+
 def test_run_sends_each_distinct_request_once(tmp_path, capsys, monkeypatch):
     bench = fixture_path("bench")
     seen = []
@@ -254,9 +266,10 @@ def test_non_integer_limit_reply_fails_only_its_candidate(reply):
     assert record["final_answer"] == ["bob"]
 
 
-def test_integer_limit_reply_still_applies():
+@pytest.mark.parametrize("reply", [" 2 ", "2.0", "2e0"])  # a number with no fractional part
+def test_integer_limit_reply_still_applies(reply):
     programs = ['SELECT name FROM w ORDER BY score DESC LIMIT f("how many to keep?"; name)']
-    record = _run_one(programs, [("regex", r"Q: how many to keep\?", [" 2 "])])
+    record = _run_one(programs, [("regex", r"Q: how many to keep\?", [reply])])
     assert record["candidates"][0]["answer"] == ["bob", "cy"]
 
 
@@ -266,6 +279,20 @@ def _fig1_config(**changes) -> dict:
                   exemplars=str(FIG1 / "exemplars.json"))
     config.update(changes)
     return config
+
+
+def test_dataset_style_sets_only_its_preset_over_the_config_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"generation": {"token_budget": 4000, "max_output_tokens": 256,
+                                                 "temperature": 0.0, "sampling_n": 3}}))
+    args = cli.build_arg_parser().parse_args(
+        ["run", "--config", str(config), "--dataset-style", "tabfact", "--temperature", "0.2"])
+    cfg = cli.load_run_config(args.config, args)
+    g = cfg.generation
+    assert (g.token_budget, g.max_output_tokens) == (4000, 256)  # the file's
+    assert (g.sampling_n, g.num_shots) == (50, 14)  # the preset's
+    assert g.temperature == 0.2  # the flag's
+    assert cfg.instruction == INSTRUCTIONS["tabfact"]
 
 
 POOL_ENTRY = {"title": "t", "column_block": "a", "question": "q?", "answer_block": "a\tb"}
@@ -280,8 +307,10 @@ POOL_ENTRY = {"title": "t", "column_block": "a", "question": "q?", "answer_block
     ({"exec_demo_pool": "bad.json"}, {"bad.json": "5"}, 3),
     ({"exec_demo_pool": "bad.json"}, {"bad.json": json.dumps([dict(POOL_ENTRY, title=5)])}, 3),
     ({"backend": {"remote": {"endpoint": "http://127.0.0.1:9", "key_env": 5}}}, {}, 2),
+    ({"generation": {"dataset": "tabfact"}}, {}, 2),
 ], ids=["unknown-strategy", "parallelism-text", "unknown-key", "config-array",
-        "exemplars-not-array", "pool-not-array", "pool-numeric-title", "remote-key-env-number"])
+        "exemplars-not-array", "pool-not-array", "pool-numeric-title", "remote-key-env-number",
+        "generation-dataset-key"])
 def test_bad_run_input_ends_with_one_line_error(tmp_path, capsys, config, files, code):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -375,7 +404,8 @@ def run_with_third_b01_candidate(tmp_path, capsys, program: str) -> dict:
         code, _, _ = run_cli(capsys, "run", str(BENCH / "dataset.jsonl"),
                              "--config", str(config_path), "-o", str(tmp_path / f"{name}.jsonl"))
         assert code == 0
-        outs.append([json.loads(line) for line in (tmp_path / f"{name}.jsonl").open()])
+        lines = (tmp_path / f"{name}.jsonl").read_text().splitlines()
+        outs.append([json.loads(line) for line in lines])
     assert len(outs[0]) == len((BENCH / "dataset.jsonl").read_text().splitlines())
     assert outs[0][0]["final_answer"] == outs[1][0]["final_answer"]
     assert outs[0][1:] == outs[1][1:]

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
+import sqlite3
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmsql import (Answer, Column, EvalError, ParseError, Table, UnknownColumn,
+from lmsql import (Answer, Column, EvalError, ParseError, Program, Table, UnknownColumn,
                    UnsupportedFeature, denotation_to_answer, execute_sql, parse)
 from lmsql import engine
+from lmsql.syntax import Literal
 
 from conftest import make_table
+from randgen import sqlite_denotation
 
 
 def run(sql: str, t):
@@ -30,7 +34,7 @@ def members():
 
 def test_count_star(members):
     d = run("SELECT COUNT(*) FROM w", members)
-    assert d.is_scalar and d.scalar == 3.0
+    assert d.rows == ((3.0,),)
 
 
 def test_order_by_desc_limit(members):
@@ -40,12 +44,34 @@ def test_order_by_desc_limit(members):
 def test_boolean_subquery_counts(records):
     sql = "SELECT (SELECT COUNT(place) FROM w WHERE place LIKE '%united kingdom') = 8"
     d = run(sql, records)
-    assert d.scalar == 1.0  # boolean results are 1/0, never text
+    assert d.rows == ((1.0,),)  # boolean results are 1/0, never text
 
 
 def test_limit_beyond_float_range_is_an_eval_error(members):
     with pytest.raises(EvalError):
         run("SELECT member FROM w LIMIT 1e400", members)
+
+
+@pytest.mark.parametrize("count", ["2", "2.0", "'2'", "'2.0'", "' 2 '", "'1e3'", "2.5", "'2.5'"])
+def test_limit_count_follows_sqlite(members, count):
+    """A count is a number, from the program text or (quoted here) a value
+    call's reply, with no fractional part; sqlite's 'datatype mismatch' is
+    the evaluator's EvalError."""
+    sql = "SELECT member FROM w ORDER BY row_id LIMIT "
+    try:
+        theirs = tuple(sqlite_denotation(members, sql + count))
+    except sqlite3.Error:
+        theirs = EvalError
+    if count.startswith("'"):
+        query = parse(sql + "1").root
+        program = Program(dataclasses.replace(query, limit=Literal(count[1:-1])))
+    else:
+        program = parse(sql + count)
+    try:
+        mine = execute_sql(program, members).rows
+    except EvalError:
+        mine = EvalError
+    assert mine == theirs
 
 
 def test_where_and_arithmetic(members):

@@ -20,8 +20,7 @@ from lmsql.engine import (Denotation, _coerce_number, _comparable_pair, _group_k
                           execute_sql)
 from lmsql.errors import EvalError, UnsupportedFeature
 from lmsql.syntax import (Aggregate, ApiCall, Binary, ColumnRef, InList, IsNull, Literal,
-                          Program, Query, ScalarSubquery, Star, Unary, aggregates,
-                          has_api_calls)
+                          Program, Query, ScalarSubquery, Star, Unary, aggregates)
 from lmsql.table import Cell, Table, cell_to_text
 
 from conftest import make_table
@@ -334,7 +333,7 @@ def _group(q: Query, top: _Scope, indices: list) -> list:
 
 def reference_execute_sql(p: Program, t: Table) -> Denotation:
     """Execute a model-call-free program against a table."""
-    if has_api_calls(p):
+    if p.calls:
         raise UnsupportedFeature("program still contains model calls; resolve them first")
     return Denotation(tuple(_exec_query(p.root, t, {})))
 
@@ -483,7 +482,7 @@ LAZY_ERRORS = [  # (sql, table, what the reference does)
     ("SELECT a FROM w WHERE a = (SELECT MAX(a) FROM w)", "rows", "rows"),
     ("SELECT (SELECT (SELECT COUNT(*) FROM w) + 1)", "rows", "rows"),
     # LIMIT, DISTINCT and ORDER BY
-    ("SELECT a FROM w LIMIT 2.5", "rows", "rows"),  # a number from the text truncates
+    ("SELECT a FROM w LIMIT 2.5", "rows", "EvalError"),  # as from a call's reply
     (_built("SELECT a FROM w", limit=Literal("2.5")), "rows", "EvalError"),  # a call's reply
     (_built("SELECT a FROM w", limit=Literal("2.5")), "empty", "EvalError"),
     (_built("SELECT nosuch FROM w", limit=Literal("two")), "rows", "UnknownColumn"),
