@@ -18,10 +18,9 @@ from .backend import (Backend, CompletionRequest, HttpBackend, NullBackend,
 from .engine import Answer
 from .errors import (BackendError, BudgetExhausted, ConfigError, FormatError,
                      IoError, LmSqlError, ParseError, ResolutionError)
-from .interp import (ExecutionConfig, ExecutionTrace, default_exec_demos,
-                     load_exec_demos, run_program)
+from .interp import ExecutionTrace, default_exec_demos, load_exec_demos, run_program
 from .metrics import JUDGES, evaluate_dataset
-from .prompts import (INSTRUCTIONS, GenerationConfig, load_exemplars,
+from .prompts import (INSTRUCTIONS, PRESETS, GenerationConfig, load_exemplars,
                       parse_candidates, plan_parse_prompt, sample_candidates)
 from .syntax import Program, parse, print_program
 from .table import (Column, Table, load_table, normalize, read_json, table_from_json,
@@ -36,7 +35,6 @@ EXIT_SYNTAX = 5
 
 
 _PATHS = ("dataset", "exemplars", "exec_demo_pool", "cache_dir")
-_PRESET_KEYS = ("temperature", "sampling_n", "num_shots")  # what --dataset-style sets
 _BACKEND_VALUES = {"mock": (str, type(None)), "remote": dict, "none": object}
 
 
@@ -51,7 +49,6 @@ class RunConfig:
     exemplars: Optional[str] = None
     exec_demo_pool: Optional[str] = None
     generation: GenerationConfig = field(default_factory=GenerationConfig)
-    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     vote_strategy: str = "program-biased"
     cache_dir: Optional[str] = None
     parallelism: int = 1
@@ -80,19 +77,18 @@ class RunConfig:
                               f"(have: {sorted(STRATEGIES)})")
         if not _is_int(self.seed):
             raise ConfigError("seed must be an integer")
-        g, x = self.generation, self.execution
+        g = self.generation
         for name, value, least in (("parallelism", self.parallelism, 1),
                                    ("generation.sampling_n", g.sampling_n, 1),
                                    ("generation.num_shots", g.num_shots, 0),
-                                   ("generation.token_budget", g.token_budget, 0),
-                                   ("execution.num_demos", x.num_demos, 0)):
+                                   ("generation.token_budget", g.token_budget, 0)):
             if not _is_int(value) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}")
-        for name, c, n in (("generation", g, g.sampling_n), ("execution", x, 1)):
-            try:  # the requests this run will send must be valid
-                CompletionRequest("", c.temperature, c.top_p, c.max_output_tokens, n, c.stop)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad {name} value: {e}")
+        try:  # the parse requests this run will send must be valid
+            CompletionRequest("", g.temperature, max_output_tokens=g.max_output_tokens,
+                              n=g.sampling_n)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad generation value: {e}")
 
 
 def _known_keys(obj, cls, what: str) -> dict:
@@ -103,13 +99,6 @@ def _known_keys(obj, cls, what: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     return dict(obj)
-
-
-def _generation_from_dict(obj) -> GenerationConfig:
-    obj = _known_keys(obj, GenerationConfig, "generation")
-    if "stop" in obj:
-        obj["stop"] = tuple(obj["stop"])
-    return GenerationConfig(**obj)
 
 
 def load_run_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
@@ -129,14 +118,9 @@ def load_run_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
         backend = values.get("backend")
         if isinstance(backend, dict) and isinstance(backend.get("mock"), str) and backend["mock"]:
             values["backend"] = {**backend, "mock": str(p.parent / backend["mock"])}
-        try:
-            if "generation" in values:
-                values["generation"] = _generation_from_dict(values["generation"])
-            if "execution" in values:
-                values["execution"] = ExecutionConfig(
-                    **_known_keys(values["execution"], ExecutionConfig, "execution"))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad config value: {e}")
+        if "generation" in values:
+            values["generation"] = GenerationConfig(
+                **_known_keys(values["generation"], GenerationConfig, "generation"))
     if getattr(args, "backend", None):
         spec = args.backend
         if spec == "none":
@@ -156,8 +140,7 @@ def load_run_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
             values[key] = value
     gen_overrides = {}
     if getattr(args, "dataset_style", None):
-        preset = GenerationConfig.for_dataset(args.dataset_style)
-        gen_overrides = {key: getattr(preset, key) for key in _PRESET_KEYS}
+        gen_overrides = dict(PRESETS[args.dataset_style])
         values["instruction"] = INSTRUCTIONS[args.dataset_style]
     if getattr(args, "n", None) is not None:
         gen_overrides["sampling_n"] = args.n
@@ -279,13 +262,12 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _execute_candidate(index: int, item, table: Table, backend: Backend, pool,
-                       exec_cfg: ExecutionConfig) -> Candidate:
+def _execute_candidate(index: int, item, table: Table, backend: Backend, pool) -> Candidate:
     if not isinstance(item, Program):
         return Candidate(index, item, None, False)
     uses_calls = bool(item.calls)
     try:
-        trace = run_program(item, table, backend, pool, exec_cfg)
+        trace = run_program(item, table, backend, pool)
     except LmSqlError as e:
         # without its traceback, whose frames hold the table, the worker
         # thread's work item and through it this very Candidate
@@ -316,7 +298,7 @@ def cmd_exec(args) -> int:
     backend = make_backend(cfg) if program.calls else NullBackend()
     table = _load_normalized_table(args.table)
     pool = _load_pool(cfg)
-    trace = run_program(program, table, backend, pool, cfg.execution)
+    trace = run_program(program, table, backend, pool)
     if args.trace:
         _print_trace(trace)
     print("\t".join(trace.answer.display()))
@@ -342,8 +324,7 @@ def _run_example(example: dict, dataset_dir: Path, tables: dict, cfg: RunConfig,
         for i, text in enumerate(texts):
             first.setdefault(text, i)
         outcomes = dict(zip(first, executor.map(
-            lambda i: _execute_candidate(i, programs[i], table, backend, pool,
-                                         cfg.execution),
+            lambda i: _execute_candidate(i, programs[i], table, backend, pool),
             first.values())))
         cands = [replace(outcomes[text], index=i) for i, text in enumerate(texts)]
         answer, report = vote(cands, cfg.vote_strategy)
@@ -443,7 +424,7 @@ def cmd_repl(args) -> int:
             program = parse(line)
             if backend is None and program.calls:
                 backend = make_backend(cfg)
-            trace = run_program(program, table, backend or NullBackend(), pool, cfg.execution)
+            trace = run_program(program, table, backend or NullBackend(), pool)
             if args.trace:
                 _print_trace(trace)
             print("\t".join(trace.answer.display()) or "<empty>")

@@ -433,7 +433,9 @@ def _exec_query(q: Query, t: Table, subqueries: dict) -> list:
         entries = _order_rows(entries, q)
     rows = [e[0] for e in entries]
     if q.limit is not None:  # a Literal: execute_sql refuses unresolved calls
-        rows = rows[:max(_limit_count(q.limit.value), 0)]
+        count = _limit_count(q.limit.value)
+        if count >= 0:  # as in sqlite, a negative count is no limit
+            rows = rows[:count]
     return rows
 
 

@@ -26,14 +26,8 @@ from .table import (ROW_ID, Column, Table, augment, linearize_row, project,
                     read_json, text_fields)
 
 
-@dataclass(frozen=True)
-class ExecutionConfig:
-    """Completion settings for the execution stage."""
-    temperature: float = 0.0
-    top_p: float = 1.0
-    max_output_tokens: int = 1024
-    stop: tuple = ("\n\n",)
-    num_demos: int = 8
+NUM_DEMOS = 8  # pool demos retrieved for each map prompt
+MAX_OUTPUT_TOKENS = 1024  # of each map or val reply
 
 
 @dataclass(frozen=True)
@@ -235,7 +229,7 @@ def _generated_name(t: Table, ordinal: int, question: str) -> str:
 
 
 def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list,
-                 cfg: ExecutionConfig = ExecutionConfig(), ordinal: int = 0) -> Resolution:
+                 ordinal: int = 0) -> Resolution:
     """Resolve one call whose arguments are columns of t: nested calls must
     already be substituted by their generated columns."""
     if call.role not in ("map", "val"):
@@ -246,13 +240,11 @@ def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list,
     sub = project(t, [arg.name for arg in call.args])
 
     def ask(prompt: str) -> str:
-        req = CompletionRequest(prompt, cfg.temperature, cfg.top_p,
-                                cfg.max_output_tokens, 1, cfg.stop)
-        return backend.complete(req)[0]
+        return backend.complete(CompletionRequest(prompt, max_output_tokens=MAX_OUTPUT_TOKENS))[0]
 
     name = _generated_name(t, ordinal, call.question)
     if call.role == "map":
-        demos = retrieve_exec_demos(call.question, pool, cfg.num_demos)
+        demos = retrieve_exec_demos(call.question, pool, NUM_DEMOS)
         prompt = build_map_prompt(call.question, sub, demos)
         response = ask(prompt)
         row_ids = [int(v) for v in t.column(ROW_ID).cells]
@@ -281,8 +273,7 @@ def _substitute_calls(node, substitute):
     return substitute(node) if isinstance(node, ApiCall) else node
 
 
-def run_program(p: Program, t: Table, backend: Backend, pool=None,
-                cfg: ExecutionConfig = ExecutionConfig()) -> ExecutionTrace:
+def run_program(p: Program, t: Table, backend: Backend, pool=None) -> ExecutionTrace:
     """Full execution with per-call trace. One post-order pass resolves each
     call once its arguments are columns and substitutes it in the same
     visit, so resolutions run strictly sequentially in bottom-up order.
@@ -298,7 +289,7 @@ def run_program(p: Program, t: Table, backend: Backend, pool=None,
     def resolve(call: ApiCall):
         nonlocal working
         try:
-            res = resolve_call(call, working, backend, pool, cfg, len(resolutions))
+            res = resolve_call(call, working, backend, pool, len(resolutions))
         except Exception as e:
             raise ResolutionError(call.question, e) from e
         resolutions.append(res)

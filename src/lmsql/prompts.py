@@ -3,9 +3,10 @@ sampling, and candidate parsing.
 
 The prompt is an instruction line, one block per exemplar (schema + three
 sample rows + question + program), and the inference example rendered with
-the full table and an empty program slot. Exemplars are dropped from the
-tail until the prompt fits the budget; if none are left, inference-table
-rows are truncated instead. The budget check reads only lengths
+the full table and an empty program slot. The token budget holds the
+prompt and the completion's max_output_tokens, as HttpBackend checks it.
+Exemplars are dropped from the tail until the prompt fits; if none are
+left, inference-table rows are truncated instead. The budget check reads only lengths
 (approx_tokens), so the planner measures the pieces, rendering inference
 rows only until they fill the budget, and builds the text once.
 """
@@ -13,9 +14,10 @@ rows only until they fill the budget, and builds the text once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from .backend import CHARS_PER_TOKEN, Backend, CompletionRequest, approx_tokens
+from .backend import CHARS_PER_TOKEN, TOKEN_BUDGET, Backend, CompletionRequest, approx_tokens
 from .errors import BudgetExhausted, ParseError
 from .syntax import parse
 from .table import (Table, linearize, linearize_frame, linearize_row, load_table,
@@ -30,31 +32,20 @@ INSTRUCTIONS = {
     "mmqa": "Generate SQL given the question, table, passages, image captions to answer the question correctly.",
 }
 
-_PARSING_DEFAULTS = {
-    # temperature, sampling_n, num_shots
-    "wikitq": (0.4, 20, 14),
-    "tabfact": (0.6, 50, 14),
-    "mmqa": (0.4, 20, 18),
+PRESETS = {  # the generation values --dataset-style sets, over the config file's
+    "wikitq": {"temperature": 0.4, "sampling_n": 20, "num_shots": 14},
+    "tabfact": {"temperature": 0.6, "sampling_n": 50, "num_shots": 14},
+    "mmqa": {"temperature": 0.4, "sampling_n": 20, "num_shots": 18},
 }
 
 
 @dataclass(frozen=True)
 class GenerationConfig:
     temperature: float = 0.4
-    top_p: float = 1.0
     max_output_tokens: int = 512
     sampling_n: int = 20
-    stop: tuple = ("\n\n",)
     num_shots: int = 14
-    token_budget: int = 8000
-
-    @classmethod
-    def for_dataset(cls, name: str) -> "GenerationConfig":
-        try:
-            temperature, n, shots = _PARSING_DEFAULTS[name]
-        except KeyError:
-            raise ValueError(f"no generation defaults for dataset {name!r}")
-        return cls(temperature=temperature, sampling_n=n, num_shots=shots)
+    token_budget: int = TOKEN_BUDGET  # the prompt plus max_output_tokens
 
 
 @dataclass(frozen=True)
@@ -63,6 +54,13 @@ class Exemplar:
     title: str
     question: str
     program_text: str
+
+    @cached_property
+    def block(self) -> str:
+        """The exemplar as every parse prompt shows it, rendered on first use."""
+        return (f"{linearize(self.table, self.title, EXEMPLAR_ROWS, full=False)}\n"
+                f"Q: {self.question}\n"
+                f"{PROGRAM_SLOT} {self.program_text}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +77,6 @@ class PromptPlan:
 _SEP = "\n\n"  # between the instruction and each block
 
 
-def _exemplar_block(ex: Exemplar) -> str:
-    return (f"{linearize(ex.table, ex.title, EXEMPLAR_ROWS, full=False)}\n"
-            f"Q: {ex.question}\n"
-            f"{PROGRAM_SLOT} {ex.program_text}")
-
-
 def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
                       title: str, question: str,
                       cfg: GenerationConfig = GenerationConfig()) -> PromptPlan:
@@ -93,13 +85,14 @@ def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
     whole table does not fit alone, no exemplars and its most leading rows."""
     head, foot = linearize_frame(table, title, full=True)
     foot += f"\nQ: {question}\n{PROGRAM_SLOT} "
-    # characters left for inference rows and exemplar blocks
-    room = (cfg.token_budget * CHARS_PER_TOKEN
+    # characters left for inference rows and exemplar blocks, once the
+    # budget has kept room for the completion
+    room = ((cfg.token_budget - cfg.max_output_tokens) * CHARS_PER_TOKEN
             - len(instruction) - len(_SEP) - len(head) - len(foot))
     if room < 0:
         raise BudgetExhausted(
-            f"prompt exceeds the {cfg.token_budget}-token budget even with no "
-            f"exemplars and no inference rows")
+            f"prompt and {cfg.max_output_tokens} output tokens exceed the "
+            f"{cfg.token_budget}-token budget even with no exemplars and no inference rows")
     rows = []
     for row in table.rows():
         line = "\n" + linearize_row(row)
@@ -110,7 +103,7 @@ def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
     blocks = []
     if room >= 0:  # the whole table fits: add shots while they fit
         for ex in exemplars[:cfg.num_shots]:
-            block = _SEP + _exemplar_block(ex)
+            block = _SEP + ex.block
             room -= len(block)
             if room < 0:
                 break
@@ -122,8 +115,8 @@ def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
 def sample_candidates(backend: Backend, prompt: str,
                       cfg: GenerationConfig = GenerationConfig()) -> list:
     """Exactly sampling_n completions, stop-truncated and trimmed."""
-    req = CompletionRequest(prompt, cfg.temperature, cfg.top_p,
-                            cfg.max_output_tokens, cfg.sampling_n, cfg.stop)
+    req = CompletionRequest(prompt, cfg.temperature, max_output_tokens=cfg.max_output_tokens,
+                            n=cfg.sampling_n)
     return [text.strip() for text in backend.complete(req)]
 
 

@@ -65,7 +65,10 @@ def parse_date_like(text: str) -> Optional[date]:
 
 
 def parse_number(text: str) -> Optional[float]:
-    """Parse a finite number, or return None. NaN/Inf spellings stay text."""
+    """Parse a finite number, or return None. NaN/Inf spellings and Python's
+    digit grouping ('1_000') stay text, as they do in sqlite."""
+    if "_" in text:
+        return None
     try:
         v = float(text.strip())
     except (ValueError, TypeError):

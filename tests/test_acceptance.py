@@ -187,9 +187,10 @@ def test_c09_truncation_monotonicity():
     infer = make_table("big", ["a", "b"], [[str(i), f"value {i}"] for i in range(120)])
     previous = -1
     counts = []
-    for budget in range(1000, 8001, 500):
+    reserve = GenerationConfig().max_output_tokens  # the token budget also holds the completion
+    for budget in range(1000, 8001, 500):  # tokens left for the prompt
         plan = plan_parse_prompt("Answer the question.", exemplars, infer, "big", "how many?",
-                                 GenerationConfig(num_shots=30, token_budget=budget))
+                                 GenerationConfig(num_shots=30, token_budget=budget + reserve))
         assert approx_tokens(plan.text) <= budget
         assert plan.num_shots >= previous
         previous = plan.num_shots

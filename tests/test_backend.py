@@ -14,11 +14,12 @@ import pytest
 
 import lmsql
 from lmsql import (Backend, BadResponse, CompletionRequest, HttpBackend, MockBackend,
-                   RateLimited, TransportError, approx_tokens,
-                   mock_from_fixtures, with_cache)
+                   RateLimited, TransportError, approx_tokens, load_exemplars,
+                   mock_from_fixtures, plan_parse_prompt, sample_candidates, with_cache)
+from lmsql.cli import RunConfig
 from lmsql.errors import FormatError
 
-from conftest import RecordingBackend
+from conftest import RecordingBackend, fixture_path, make_table
 
 
 def req(prompt="p", **kw):
@@ -395,3 +396,21 @@ def test_http_token_budget():
     with pytest.raises(RateLimited, match="budget is 8000"):
         backend.complete(req(prompt))
     assert backend.urlopen.posts == []
+
+
+def test_default_parse_prompt_for_a_large_table_fits_the_service_budget():
+    """The planner keeps the completion's room in the budget, so the parse
+    request for a table that fills the prompt is sent, not refused."""
+    cfg = RunConfig()
+    g = cfg.generation
+    table = make_table("big", ["city", "category", "amount", "note"],
+                       [[f"city {i % 24}", f"kind {i % 8}", str(i), f"row number {i}"]
+                        for i in range(1000)])
+    plan = plan_parse_prompt(cfg.instruction,
+                             load_exemplars(fixture_path("bench/exemplars.json")),
+                             table, "big", "how many rows?", g)
+    assert plan.inference_rows < table.row_count  # the budget, not the table, set its size
+    reply = FakeResponse(200, {"choices": [{"text": "SELECT COUNT(*) FROM w"}] * g.sampling_n})
+    backend, _ = http_backend([reply])
+    assert sample_candidates(backend, plan.text, g) == ["SELECT COUNT(*) FROM w"] * g.sampling_n
+    assert backend.urlopen.posts[0]["max_tokens"] == g.max_output_tokens

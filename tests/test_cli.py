@@ -308,9 +308,12 @@ POOL_ENTRY = {"title": "t", "column_block": "a", "question": "q?", "answer_block
     ({"exec_demo_pool": "bad.json"}, {"bad.json": json.dumps([dict(POOL_ENTRY, title=5)])}, 3),
     ({"backend": {"remote": {"endpoint": "http://127.0.0.1:9", "key_env": 5}}}, {}, 2),
     ({"generation": {"dataset": "tabfact"}}, {}, 2),
+    ({"execution": {"num_demos": 2}}, {}, 2),
+    ({"generation": {"stop": ["\n"]}}, {}, 2),
+    ({"generation": {"top_p": 0.9}}, {}, 2),
 ], ids=["unknown-strategy", "parallelism-text", "unknown-key", "config-array",
         "exemplars-not-array", "pool-not-array", "pool-numeric-title", "remote-key-env-number",
-        "generation-dataset-key"])
+        "generation-dataset-key", "execution-key", "generation-stop-key", "generation-top-p-key"])
 def test_bad_run_input_ends_with_one_line_error(tmp_path, capsys, config, files, code):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -52,11 +52,12 @@ def test_limit_beyond_float_range_is_an_eval_error(members):
         run("SELECT member FROM w LIMIT 1e400", members)
 
 
-@pytest.mark.parametrize("count", ["2", "2.0", "'2'", "'2.0'", "' 2 '", "'1e3'", "2.5", "'2.5'"])
+@pytest.mark.parametrize("count", ["2", "2.0", "'2'", "'2.0'", "' 2 '", "'1e3'", "2.5", "'2.5'",
+                                   "'-1'", "'-2.0'", "'1_0'"])
 def test_limit_count_follows_sqlite(members, count):
     """A count is a number, from the program text or (quoted here) a value
     call's reply, with no fractional part; sqlite's 'datatype mismatch' is
-    the evaluator's EvalError."""
+    the evaluator's EvalError. A negative count is no limit."""
     sql = "SELECT member FROM w ORDER BY row_id LIMIT "
     try:
         theirs = tuple(sqlite_denotation(members, sql + count))
@@ -72,6 +73,14 @@ def test_limit_count_follows_sqlite(members, count):
     except EvalError:
         mine = EvalError
     assert mine == theirs
+
+
+def test_digit_grouping_is_text_as_in_sqlite():
+    """'1_000' is not the number 1000, in a comparison or in a text column's type."""
+    t = Table("t", (Column("s", "text", ("1_000", "1000", "abc")),))
+    sql = "SELECT s FROM w WHERE s = 1000"
+    assert run(sql, t).rows == tuple(sqlite_denotation(t, sql)) == (("1000",),)
+    assert make_table("t", ["s"], [["1_000"], ["2"]]).column("s").declared_type == "text"
 
 
 def test_where_and_arithmetic(members):

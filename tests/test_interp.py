@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from lmsql import (Answer, CompletionRequest, EvalError, ExecDemo, ExecutionConfig,
+from lmsql import (Answer, CompletionRequest, EvalError, ExecDemo,
                    MalformedResponse, MockBackend, NullBackend, ResolutionError, build_map_prompt, build_val_prompt,
                    default_exec_demos, execute_sql, denotation_to_answer,
                    ngram_similarity, parse, parse_map_response, resolve_call,
@@ -15,9 +15,6 @@ from lmsql.syntax import api_calls_bottom_up, assign_roles
 
 from conftest import RecordingBackend, fixture_path, make_table
 from corpus import EXEMPLAR_PROGRAMS
-
-NO_DEMOS = ExecutionConfig(num_demos=0)
-
 
 def tagged_calls(text: str):
     p = assign_roles(parse(text))
@@ -167,25 +164,26 @@ def test_resolve_map_call():
     t = feet_table()
     p, calls = tagged_calls('SELECT f("What is the value of in feet?"; prominence) FROM w')
     backend = RecordingBackend(feet_mock())
-    res = resolve_call(calls[0], t, backend, [], NO_DEMOS)
+    res = resolve_call(calls[0], t, backend, [])
     assert res.outcome.cells == ("10080", "1677", "7196", "2894", "9832", "2563")
     assert res.generated_name.startswith("col_0_")
     req, _ = backend.calls[0]
-    assert req.temperature == 0.0 and req.n == 1 and req.max_output_tokens == 1024
+    # temperature 0, top_p 1, 1024 output tokens, one completion, stop at a blank line
+    assert req == CompletionRequest(req.prompt, 0.0, 1.0, 1024, 1, ("\n\n",))
 
 
 def test_resolve_val_call(hometown):
     p, calls = tagged_calls('SELECT f_val("The most formal?"; hometown)')
     mock = MockBackend()
     mock.add_rule(r"Q: The most formal\?\nA:", ["  Chicago, IL, U.S.\nextra line"])
-    res = resolve_call(calls[0], hometown, mock, [], NO_DEMOS)
+    res = resolve_call(calls[0], hometown, mock, [])
     assert res.outcome == "chicago, il, u.s."
 
 
 def test_execute_binder_numeric_coercion_of_map_answers():
     t = feet_table()
     program = parse('SELECT COUNT(*) FROM w WHERE f("What is the value of in feet?"; prominence) > 5000')
-    answer = run_program(program, t, feet_mock(), pool=[], cfg=NO_DEMOS).answer
+    answer = run_program(program, t, feet_mock(), pool=[]).answer
     assert answer.display() == ["3"]
 
 
@@ -208,7 +206,7 @@ def test_execute_binder_nested_bottom_up():
                   ["/*\nrow_id\tcol\touter?\n0\ti1\tyes\n1\ti2\tno\n*/"])
     backend = RecordingBackend(mock)
     program = parse('SELECT c FROM w WHERE f("outer?"; f("inner?"; c)) = \'yes\'')
-    answer = run_program(program, t, backend, pool=[], cfg=NO_DEMOS).answer
+    answer = run_program(program, t, backend, pool=[]).answer
     assert answer.display() == ["x1"]
     first, second = (req.prompt for req, _ in backend.calls)
     assert '"inner?"' in first and '"outer?"' in second
@@ -220,7 +218,7 @@ def test_execute_binder_partial_response_fills_nulls():
     mock = MockBackend()
     mock.add_rule(r'"flag\?"', ["/*\nrow_id\tc\tflag?\n0\ta\tyes\n2\tc\tyes\n*/"])
     answer = run_program(parse('SELECT COUNT(*) FROM w WHERE f("flag?"; c) = \'yes\''),
-                         t, mock, pool=[], cfg=NO_DEMOS).answer
+                         t, mock, pool=[]).answer
     assert answer.display() == ["2"]  # missing row 1 is null, excluded by WHERE
 
 
@@ -228,7 +226,7 @@ def test_execute_binder_wraps_failures():
     t = make_table("n", ["c"], [["a"]])
     with pytest.raises(ResolutionError) as exc:
         run_program(parse('SELECT f("mystery?"; c) FROM w'), t, MockBackend(),
-                    pool=[], cfg=NO_DEMOS)
+                    pool=[])
     assert "mystery?" in str(exc.value)
 
 
@@ -239,7 +237,7 @@ def test_run_program_trace_contents(shirts):
                    "2\tcanada\tyes\n3\tusa\tyes\n4\tmexico\tyes\n*/"])
     program = parse("SELECT shirt FROM w WHERE f(\"North America?\"; made_in) = 'yes' "
                     "ORDER BY num_of_orders DESC LIMIT 1")
-    trace = run_program(program, shirts, mock, pool=[], cfg=NO_DEMOS)
+    trace = run_program(program, shirts, mock, pool=[])
     assert trace.answer.display() == ["flannel shirt, synthetic blend"]
     assert len(trace.resolutions) == 1
     assert trace.resolutions[0].prompt.startswith("Give a database as shown below:")
@@ -270,7 +268,7 @@ CALL_PROGRAMS = [text for text in EXEMPLAR_PROGRAMS if api_calls_bottom_up(parse
 def test_run_program_resolves_in_bottom_up_order(text):
     program = parse(text)
     calls = api_calls_bottom_up(assign_roles(program))
-    trace = run_program(program, corpus_table(), catch_all_mock(), pool=[], cfg=NO_DEMOS)
+    trace = run_program(program, corpus_table(), catch_all_mock(), pool=[])
     assert [r.call.question for r in trace.resolutions] == [c.question for c in calls]
     for ordinal, res in enumerate(trace.resolutions):
         assert res.generated_name.startswith(f"col_{ordinal}_")
@@ -288,7 +286,7 @@ def test_call_free_candidate_collects_its_calls_once(text, monkeypatch):
     collect = syntax._collect_calls
     monkeypatch.setattr(syntax, "_collect_calls", counting)
     program = parse(text)
-    cand = cli._execute_candidate(0, program, corpus_table(), NullBackend(), [], NO_DEMOS)
+    cand = cli._execute_candidate(0, program, corpus_table(), NullBackend(), [])
     assert isinstance(cand.answer, Answer) and not cand.has_api_call
     assert len(collections) <= 1
     assert assign_roles(program) is program
@@ -296,7 +294,7 @@ def test_call_free_candidate_collects_its_calls_once(text, monkeypatch):
 
 def test_repeated_question_on_two_columns_resolves_twice():
     program = parse('SELECT year FROM t WHERE f("Points?";win_team) - f("Points?";los_team) > 10')
-    trace = run_program(program, corpus_table(), catch_all_mock(), pool=[], cfg=NO_DEMOS)
+    trace = run_program(program, corpus_table(), catch_all_mock(), pool=[])
     win, los = trace.resolutions
     assert win.generated_name != los.generated_name
     assert "row_id\twin_team\n" in win.prompt and "row_id\tlos_team\n" in los.prompt
@@ -307,7 +305,7 @@ def test_resolve_call_rejects_unsubstituted_nested_call():
     _, calls = tagged_calls('SELECT f("outer?"; f("inner?"; c)) FROM w')
     backend = RecordingBackend(catch_all_mock())
     with pytest.raises(EvalError):
-        resolve_call(calls[-1], t, backend, [], NO_DEMOS)
+        resolve_call(calls[-1], t, backend, [])
     assert backend.calls == []
 
 
@@ -317,7 +315,7 @@ def test_run_program_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        run_program(program, t, catch_all_mock(), pool=[], cfg=NO_DEMOS)
+        run_program(program, t, catch_all_mock(), pool=[])
         assert gc.collect() == 0  # the working table is freed when the call returns
     finally:
         gc.enable()

@@ -1,6 +1,7 @@
-"""Property test: the length-based planner returns the plan of the
+"""Property tests: the length-based planner returns the plan of the
 straightforward one, which builds the whole prompt for each shot count and
-binary-searches the inference rows when no shot count fits."""
+binary-searches the inference rows when no shot count fits; and every plan
+leaves room for the completion within the token budget."""
 
 from __future__ import annotations
 
@@ -27,21 +28,25 @@ def reference_prompt(instruction, shots, table, title, question, k, rows) -> str
 
 
 def reference_plan(instruction, exemplars, table, title, question, cfg) -> PromptPlan:
-    """The planner as it was before it worked from lengths."""
+    """The planner as it was before it worked from lengths, with the
+    budget's room for the completion taken out."""
     shots = list(exemplars[:cfg.num_shots])
 
     def assemble(k, rows):
         return reference_prompt(instruction, shots, table, title, question, k, rows)
 
+    def fits(text):
+        return approx_tokens(text) + cfg.max_output_tokens <= cfg.token_budget
+
     full_rows = table.row_count
     for k in range(len(shots), -1, -1):
         text = assemble(k, full_rows)
-        if approx_tokens(text) <= cfg.token_budget:
+        if fits(text):
             return PromptPlan(text, k, full_rows)
     lo, hi, best = 0, full_rows - 1, None
     while lo <= hi:
         mid = (lo + hi) // 2
-        if approx_tokens(assemble(0, mid)) <= cfg.token_budget:
+        if fits(assemble(0, mid)):
             best = mid
             lo = mid + 1
         else:
@@ -86,14 +91,19 @@ def tables(draw, max_rows=12):
 exemplars = st.builds(Exemplar, tables(max_rows=5), text, text, text)
 
 
+output_tokens = st.integers(1, 600)
+
+
 @settings(max_examples=200, deadline=None)
 @given(instruction=text, shots=st.lists(exemplars, max_size=4), table=tables(),
-       title=text, question=text, num_shots=st.integers(0, 5), data=st.data())
-def test_plan_matches_reference(instruction, shots, table, title, question, num_shots, data):
+       title=text, question=text, num_shots=st.integers(0, 5),
+       max_output_tokens=output_tokens, data=st.data())
+def test_plan_matches_reference(instruction, shots, table, title, question, num_shots,
+                                max_output_tokens, data):
     # budgets at, or a token either side of, the size of a prompt the
-    # planner may choose: k shots and all rows, or no shots and some rows.
-    # Every branch is drawn: all shots, fewer, none with all rows, some
-    # rows, and none at all. The instruction is padded so that this prompt's
+    # planner may choose plus the completion: k shots and all rows, or no
+    # shots and some rows. Every branch is drawn: all shots, fewer, none
+    # with all rows, some rows, and none at all. The instruction is padded so that this prompt's
     # length has a drawn remainder modulo CHARS_PER_TOKEN; a planner whose
     # lengths are a few characters off then fails at one of them.
     args = (instruction, shots, table, title, question)
@@ -103,8 +113,9 @@ def test_plan_matches_reference(instruction, shots, table, title, question, num_
     pad = (remainder - len(reference_prompt(*args, k, rows))) % CHARS_PER_TOKEN
     args = (instruction + " " * pad, *args[1:])
     edge = approx_tokens(reference_prompt(*args, k, rows))
-    budget = edge + data.draw(st.integers(-1, 1), label="budget - edge")
-    event(assert_same_plan(args, GenerationConfig(num_shots=num_shots, token_budget=budget)))
+    budget = edge + max_output_tokens + data.draw(st.integers(-1, 1), label="budget - edge")
+    event(assert_same_plan(args, GenerationConfig(num_shots=num_shots, token_budget=budget,
+                                                  max_output_tokens=max_output_tokens)))
 
 
 @pytest.mark.parametrize("pad", range(CHARS_PER_TOKEN))
@@ -116,7 +127,26 @@ def test_plan_matches_reference_at_every_budget(pad):
     shots = [Exemplar(table, "ex", "q?", "SELECT a FROM w")] * 2
     args = (" " * pad, shots, table, "w", "how many?")
     largest = approx_tokens(reference_prompt(*args, len(shots), table.row_count))
+    reserve = GenerationConfig().max_output_tokens
     outcomes = {assert_same_plan(args, GenerationConfig(num_shots=len(shots), token_budget=b))
-                for b in range(largest + 2)}
+                for b in range(reserve, reserve + largest + 2)}
     assert outcomes == {"budget exhausted", "rows cut", "fewer shots", "all shots"}
 
+
+@settings(max_examples=200, deadline=None)
+@given(instruction=text, shots=st.lists(exemplars, max_size=4), table=tables(),
+       title=text, question=text, num_shots=st.integers(0, 5),
+       max_output_tokens=output_tokens, prompt_room=st.integers(-10, 300))
+def test_plan_leaves_room_for_the_completion(instruction, shots, table, title, question,
+                                             num_shots, max_output_tokens, prompt_room):
+    """The prompt plus the completion fits the budget that HttpBackend
+    checks, or the planner says that nothing fits."""
+    cfg = GenerationConfig(num_shots=num_shots, max_output_tokens=max_output_tokens,
+                           token_budget=max_output_tokens + prompt_room)
+    try:
+        plan = plan_parse_prompt(instruction, shots, table, title, question, cfg)
+    except BudgetExhausted:
+        event("budget exhausted")
+        return
+    event("planned")
+    assert plan.tokens + cfg.max_output_tokens <= cfg.token_budget

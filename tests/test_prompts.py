@@ -7,10 +7,13 @@ import pytest
 from lmsql import (BudgetExhausted, GenerationConfig, MockBackend, ParseError,
                    Program, linearize, load_exemplars,
                    parse_candidates, plan_parse_prompt, sample_candidates)
-from lmsql.backend import approx_tokens
-from lmsql.prompts import Exemplar, INSTRUCTIONS
+from lmsql.backend import TOKEN_BUDGET, approx_tokens
+from lmsql.prompts import Exemplar, INSTRUCTIONS, PRESETS
 
 from conftest import fixture_path, make_table
+
+
+RESERVE = GenerationConfig().max_output_tokens  # the budget's room for the completion
 
 
 def lachlan_exemplar():
@@ -58,11 +61,10 @@ def test_shot_shrinking_drops_suffix_first():
     fits_all = plan_parse_prompt("i", exemplars, infer, "T", "q?",
                                  GenerationConfig(num_shots=4, token_budget=8000))
     assert fits_all.num_shots == 4
-    tight_budget = approx_tokens(fits_all.text) - 20
-    fits_fewer = plan_parse_prompt("i", exemplars, infer, "T", "q?",
-                                   GenerationConfig(num_shots=4, token_budget=tight_budget))
+    tight = GenerationConfig(num_shots=4, token_budget=approx_tokens(fits_all.text) - 20 + RESERVE)
+    fits_fewer = plan_parse_prompt("i", exemplars, infer, "T", "q?", tight)
     assert 0 < fits_fewer.num_shots < 4
-    assert fits_fewer.tokens <= tight_budget
+    assert fits_fewer.tokens + RESERVE <= tight.token_budget
     # kept shots are a prefix of the exemplar list
     first_block = fits_fewer.text.split("\n\n")[1]
     assert first_block.startswith("CREATE TABLE Electoral district of Lachlan(")
@@ -72,23 +74,23 @@ def test_shot_count_monotone_in_budget():
     exemplars = [lachlan_exemplar() for _ in range(6)]
     infer = small_table(40)
     last = -1
-    for budget in range(400, 8001, 400):
+    for budget in range(400 + RESERVE, 8001 + RESERVE, 400):
         plan = plan_parse_prompt("i", exemplars, infer, "T", "q?",
                                  GenerationConfig(num_shots=6, token_budget=budget))
         assert plan.num_shots >= last
-        assert plan.tokens <= budget
+        assert plan.tokens + RESERVE <= budget
         last = plan.num_shots
 
 
 def test_inference_rows_truncated_when_shots_exhausted():
     infer = small_table(300)
     full = linearize(infer, "T", infer.row_count, full=True)
-    budget = approx_tokens(full) // 2
+    budget = approx_tokens(full) // 2 + RESERVE
     plan = plan_parse_prompt("i", [lachlan_exemplar()], infer, "T", "q?",
                              GenerationConfig(token_budget=budget))
     assert plan.num_shots == 0
     assert 0 < plan.inference_rows < 300
-    assert plan.tokens <= budget
+    assert plan.tokens + RESERVE <= budget
 
 
 def test_budget_exhausted():
@@ -113,14 +115,15 @@ def test_parse_candidates_partitions_and_keeps_duplicates():
 
 
 def test_generation_defaults_per_dataset():
-    wikitq = GenerationConfig.for_dataset("wikitq")
-    assert (wikitq.temperature, wikitq.sampling_n, wikitq.num_shots) == (0.4, 20, 14)
-    assert wikitq.top_p == 1.0 and wikitq.max_output_tokens == 512
-    assert wikitq.stop == ("\n\n",) and wikitq.token_budget == 8000
-    tabfact = GenerationConfig.for_dataset("tabfact")
-    assert (tabfact.temperature, tabfact.sampling_n, tabfact.num_shots) == (0.6, 50, 14)
-    mmqa = GenerationConfig.for_dataset("mmqa")
-    assert (mmqa.temperature, mmqa.sampling_n, mmqa.num_shots) == (0.4, 20, 18)
+    g = GenerationConfig()
+    assert (g.temperature, g.sampling_n, g.num_shots) == (0.4, 20, 14)
+    assert g.max_output_tokens == 512 and g.token_budget == TOKEN_BUDGET == 8000
+    assert PRESETS == {
+        "wikitq": {"temperature": 0.4, "sampling_n": 20, "num_shots": 14},
+        "tabfact": {"temperature": 0.6, "sampling_n": 50, "num_shots": 14},
+        "mmqa": {"temperature": 0.4, "sampling_n": 20, "num_shots": 18},
+    }
+    assert set(PRESETS) == set(INSTRUCTIONS)
 
 
 def test_load_exemplars(tmp_path):
@@ -140,3 +143,22 @@ def test_load_exemplars(tmp_path):
     }]))
     with pytest.raises(ParseError):
         load_exemplars(bad)
+
+
+def test_exemplar_blocks_render_once_per_load(monkeypatch):
+    """Every prompt planned from one loaded exemplar file reuses its blocks;
+    a new load renders them again."""
+    from lmsql import prompts
+    rendered = []
+
+    def counting(*args, **kwargs):
+        rendered.append(args[1])
+        return linearize(*args, **kwargs)
+    monkeypatch.setattr(prompts, "linearize", counting)
+    path = fixture_path("bench/exemplars.json")
+    for load in (1, 2):
+        exemplars = load_exemplars(path)
+        plans = [plan_parse_prompt("i", exemplars, small_table(), "T", question)
+                 for question in ("q1?", "q2?", "q3?")]
+        assert {p.num_shots for p in plans} == {len(exemplars)}
+        assert sorted(rendered) == sorted([ex.title for ex in exemplars] * load)
