@@ -13,8 +13,8 @@ from .engine import (Answer, Denotation, EMPTY_ANSWER, canonical_value,
 from .errors import (BackendError, BadResponse, BudgetExhausted, ConfigError,
                      DuplicateColumn, EvalError, FormatError, IoError,
                      LengthMismatch, LexError, LmSqlError, MalformedResponse,
-                     ParseError, RateLimited, ResolutionError, RoleAmbiguity,
-                     TransportError, UnknownColumn, UnsupportedFeature)
+                     ParseError, ResolutionError, RoleAmbiguity, TransportError,
+                     UnknownColumn, UnsupportedFeature)
 from .interp import (ExecDemo, Resolution, build_map_prompt, build_val_prompt,
                      default_exec_demos, load_exec_demos, ngram_similarity,
                      parse_map_response, resolve_call, retrieve_exec_demos,

@@ -1,8 +1,10 @@
 """Completion backends: remote HTTP service, deterministic fixture mock, and
 a response cache (in memory for the run, optionally persisted on disk).
 
-All backends share one contract: complete(request) returns exactly
-request.n completions, each truncated at the first stop string.
+All backends share one contract, enforced in Backend.complete: a request
+whose approx_tokens(prompt) + max_output_tokens exceeds TOKEN_BUDGET is
+refused with BudgetExhausted, and a reply is exactly request.n completions,
+each truncated at the first stop string and cut to max_output_tokens tokens.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import BadResponse, FormatError, IoError, RateLimited, TransportError
+from .errors import BadResponse, BudgetExhausted, FormatError, IoError, TransportError
 from .table import read_json, text_fields
 
 
@@ -50,6 +52,7 @@ class CompletionRequest:
 
 
 CHARS_PER_TOKEN = 4
+TOKEN_BUDGET = 8000  # approx_tokens of the prompt plus max_output_tokens, per request
 
 
 def approx_tokens(text: str) -> int:
@@ -74,8 +77,12 @@ class Backend:
     identity: str = "backend"
 
     def complete(self, req: CompletionRequest) -> list:
+        needed = approx_tokens(req.prompt) + req.max_output_tokens
+        if needed > TOKEN_BUDGET:
+            raise BudgetExhausted(f"request needs ~{needed} tokens, budget is {TOKEN_BUDGET}")
         raw = self._complete(req)
-        out = [truncate_at_stop(r, req.stop) for r in raw]
+        cap = req.max_output_tokens * CHARS_PER_TOKEN
+        out = [truncate_at_stop(r, req.stop)[:cap] for r in raw]
         if len(out) != req.n:
             raise BadResponse(f"{self.identity} returned {len(out)} completions, wanted {req.n}")
         return out
@@ -271,7 +278,6 @@ MAX_ATTEMPTS = 3
 BACKOFF_S = 0.5  # the wait after the first failed attempt; it doubles after each
 RETRY_AFTER_CAP_S = 30.0  # the longest wait a reply's Retry-After can ask for
 REQUESTS_PER_MINUTE = 200
-TOKEN_BUDGET = 8000  # approx_tokens of the prompt plus max_output_tokens
 TIMEOUT_S = 60.0
 
 
@@ -303,8 +309,7 @@ class HttpBackend(Backend):
     POSTs {prompt, temperature, top_p, max_tokens, n, stop} and expects
     {"choices": [{"text": ...}, ...]}. Retries transient failures with
     exponential backoff, or after the wait a 429 or 5xx reply's Retry-After
-    asks for, and enforces a client-side request rate plus an approximate
-    per-request token budget.
+    asks for, and enforces a client-side request rate.
     """
 
     def __init__(self, endpoint: str, model: str = "", api_key: str = "",
@@ -318,9 +323,6 @@ class HttpBackend(Backend):
         self._bucket = _TokenBucket(REQUESTS_PER_MINUTE, sleeper=sleeper)
 
     def _complete(self, req: CompletionRequest) -> list:
-        needed = approx_tokens(req.prompt) + req.max_output_tokens
-        if needed > TOKEN_BUDGET:
-            raise RateLimited(f"request needs ~{needed} tokens, budget is {TOKEN_BUDGET}")
         payload = {
             "prompt": req.prompt,
             "temperature": req.temperature,

@@ -80,13 +80,11 @@ class RunConfig:
         g = self.generation
         for name, value, least in (("parallelism", self.parallelism, 1),
                                    ("generation.sampling_n", g.sampling_n, 1),
-                                   ("generation.num_shots", g.num_shots, 0),
-                                   ("generation.token_budget", g.token_budget, 0)):
+                                   ("generation.num_shots", g.num_shots, 0)):
             if not _is_int(value) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}")
         try:  # the parse requests this run will send must be valid
-            CompletionRequest("", g.temperature, max_output_tokens=g.max_output_tokens,
-                              n=g.sampling_n)
+            CompletionRequest("", g.temperature, n=g.sampling_n)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad generation value: {e}")
 
@@ -307,10 +305,10 @@ def cmd_exec(args) -> int:
 
 def _run_example(example: dict, dataset_dir: Path, tables: dict, cfg: RunConfig,
                  backend: Backend, exemplars: list, pool, executor: Executor) -> dict:
-    """Parse, execute and vote one example. Each distinct candidate text runs
-    once: the backend answers identical requests identically within a run,
-    so its duplicates share the outcome and keep their own index. `tables`
-    is the run's memo of loaded tables (see _table_for_example)."""
+    """Parse, execute and vote one example. Each distinct candidate text is
+    parsed and run once: the backend answers identical requests identically
+    within a run, so its duplicates share the outcome and keep their own
+    index. `tables` is the run's memo of loaded tables (see _table_for_example)."""
     record = {"id": example.get("id") if isinstance(example, dict) else None}
     where = f"example {record['id']!r}"
     try:
@@ -319,13 +317,13 @@ def _run_example(example: dict, dataset_dir: Path, tables: dict, cfg: RunConfig,
         plan = plan_parse_prompt(cfg.instruction, exemplars, table,
                                  example.get("title", "w"), question, cfg.generation)
         texts = sample_candidates(backend, plan.text, cfg.generation)
-        programs = parse_candidates(texts)
         first = {}  # candidate text -> index of its first occurrence
         for i, text in enumerate(texts):
             first.setdefault(text, i)
+        programs = dict(zip(first, parse_candidates(list(first))))
         outcomes = dict(zip(first, executor.map(
-            lambda i: _execute_candidate(i, programs[i], table, backend, pool),
-            first.values())))
+            lambda text: _execute_candidate(first[text], programs[text], table, backend, pool),
+            first)))
         cands = [replace(outcomes[text], index=i) for i, text in enumerate(texts)]
         answer, report = vote(cands, cfg.vote_strategy)
         record["candidates"] = [

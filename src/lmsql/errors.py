@@ -91,10 +91,6 @@ class TransportError(BackendError):
     """Network or service failure that survived the retry policy."""
 
 
-class RateLimited(BackendError):
-    """Request exceeds the configured token budget."""
-
-
 class BadResponse(BackendError):
     """Service or fixture reply that cannot be interpreted."""
 
@@ -104,8 +100,9 @@ class MalformedResponse(LmSqlError):
 
 
 class BudgetExhausted(LmSqlError):
-    """Prompt cannot be made to fit the token budget even with zero exemplars
-    and zero inference-table rows."""
+    """A request does not fit the token budget: every backend refuses one, and
+    the planner cannot make a parse prompt fit even with zero exemplars and
+    zero inference-table rows."""
 
 
 class ConfigError(LmSqlError):

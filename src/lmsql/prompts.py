@@ -3,8 +3,8 @@ sampling, and candidate parsing.
 
 The prompt is an instruction line, one block per exemplar (schema + three
 sample rows + question + program), and the inference example rendered with
-the full table and an empty program slot. The token budget holds the
-prompt and the completion's max_output_tokens, as HttpBackend checks it.
+the full table and an empty program slot. The prompt and the reply's
+MAX_OUTPUT_TOKENS must fit backend.TOKEN_BUDGET, as every backend checks.
 Exemplars are dropped from the tail until the prompt fits; if none are
 left, inference-table rows are truncated instead. The budget check reads only lengths
 (approx_tokens), so the planner measures the pieces, rendering inference
@@ -32,6 +32,8 @@ INSTRUCTIONS = {
     "mmqa": "Generate SQL given the question, table, passages, image captions to answer the question correctly.",
 }
 
+MAX_OUTPUT_TOKENS = 512  # of each parse reply
+
 PRESETS = {  # the generation values --dataset-style sets, over the config file's
     "wikitq": {"temperature": 0.4, "sampling_n": 20, "num_shots": 14},
     "tabfact": {"temperature": 0.6, "sampling_n": 50, "num_shots": 14},
@@ -42,10 +44,8 @@ PRESETS = {  # the generation values --dataset-style sets, over the config file'
 @dataclass(frozen=True)
 class GenerationConfig:
     temperature: float = 0.4
-    max_output_tokens: int = 512
     sampling_n: int = 20
     num_shots: int = 14
-    token_budget: int = TOKEN_BUDGET  # the prompt plus max_output_tokens
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,12 @@ def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
     foot += f"\nQ: {question}\n{PROGRAM_SLOT} "
     # characters left for inference rows and exemplar blocks, once the
     # budget has kept room for the completion
-    room = ((cfg.token_budget - cfg.max_output_tokens) * CHARS_PER_TOKEN
+    room = ((TOKEN_BUDGET - MAX_OUTPUT_TOKENS) * CHARS_PER_TOKEN
             - len(instruction) - len(_SEP) - len(head) - len(foot))
     if room < 0:
         raise BudgetExhausted(
-            f"prompt and {cfg.max_output_tokens} output tokens exceed the "
-            f"{cfg.token_budget}-token budget even with no exemplars and no inference rows")
+            f"prompt and {MAX_OUTPUT_TOKENS} output tokens exceed the "
+            f"{TOKEN_BUDGET}-token budget even with no exemplars and no inference rows")
     rows = []
     for row in table.rows():
         line = "\n" + linearize_row(row)
@@ -115,7 +115,7 @@ def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
 def sample_candidates(backend: Backend, prompt: str,
                       cfg: GenerationConfig = GenerationConfig()) -> list:
     """Exactly sampling_n completions, stop-truncated and trimmed."""
-    req = CompletionRequest(prompt, cfg.temperature, max_output_tokens=cfg.max_output_tokens,
+    req = CompletionRequest(prompt, cfg.temperature, max_output_tokens=MAX_OUTPUT_TOKENS,
                             n=cfg.sampling_n)
     return [text.strip() for text in backend.complete(req)]
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from lmsql import Backend, CompletionRequest, Table, load_table, normalize, table_from_json
+from lmsql.backend import CHARS_PER_TOKEN, TOKEN_BUDGET
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -25,6 +26,13 @@ class RecordingBackend(Backend):
         responses = self.inner.complete(req)
         self.calls.append((req, responses))
         return responses
+
+
+def padded(instruction: str, budget: int) -> str:
+    """The instruction, padded so that a prompt built on it meets the fixed
+    TOKEN_BUDGET where the unpadded prompt would meet a budget of `budget`
+    tokens: the padding takes TOKEN_BUDGET - budget tokens of it."""
+    return instruction + " " * ((TOKEN_BUDGET - budget) * CHARS_PER_TOKEN)
 
 
 def make_table(title: str, header, rows) -> Table:

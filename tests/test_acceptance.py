@@ -12,12 +12,12 @@ from lmsql import (Answer, Candidate, MockBackend, build_map_prompt,
                    default_exec_demos, denotation_to_answer, execute_sql,
                    linearize, load_table, normalize, official_em, parse,
                    print_program, run_program, semantic_em, string_em, vote)
-from lmsql.backend import approx_tokens
+from lmsql.backend import TOKEN_BUDGET, approx_tokens
 from lmsql.cli import main as cli_main
-from lmsql.prompts import GenerationConfig, Exemplar, plan_parse_prompt
+from lmsql.prompts import MAX_OUTPUT_TOKENS, GenerationConfig, Exemplar, plan_parse_prompt
 from lmsql.syntax import api_calls_bottom_up
 
-from conftest import RecordingBackend, fixture_path, make_table
+from conftest import RecordingBackend, fixture_path, make_table, padded
 from corpus import EXEMPLAR_PROGRAMS
 from randgen import make_random_table, random_query, rows_match, sqlite_denotation
 
@@ -187,16 +187,18 @@ def test_c09_truncation_monotonicity():
     infer = make_table("big", ["a", "b"], [[str(i), f"value {i}"] for i in range(120)])
     previous = -1
     counts = []
-    reserve = GenerationConfig().max_output_tokens  # the token budget also holds the completion
-    for budget in range(1000, 8001, 500):  # tokens left for the prompt
-        plan = plan_parse_prompt("Answer the question.", exemplars, infer, "big", "how many?",
-                                 GenerationConfig(num_shots=30, token_budget=budget + reserve))
-        assert approx_tokens(plan.text) <= budget
+    room = TOKEN_BUDGET - MAX_OUTPUT_TOKENS  # the token budget also holds the completion
+    for budget in range(1000, room + 1, 500):  # tokens left for the prompt
+        # padding takes room - budget of the prompt's tokens
+        plan = plan_parse_prompt(padded("Answer the question.", budget + MAX_OUTPUT_TOKENS),
+                                 exemplars, infer, "big", "how many?",
+                                 GenerationConfig(num_shots=30))
+        assert approx_tokens(plan.text) - (room - budget) <= budget
         assert plan.num_shots >= previous
         previous = plan.num_shots
         counts.append(plan.num_shots)
     assert counts[0] < counts[-1], "the range must actually exercise shrinking"
-    report(9, f"shots per budget 1000..8000 step 500: {counts}; every prompt within budget")
+    report(9, f"shots per budget 1000..{budget} step 500: {counts}; every prompt within budget")
 
 
 def test_c10_mini_benchmark(tmp_path):

@@ -11,13 +11,16 @@ import urllib.error
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lmsql
-from lmsql import (Backend, BadResponse, CompletionRequest, HttpBackend, MockBackend,
-                   RateLimited, TransportError, approx_tokens, load_exemplars,
+from lmsql import (Backend, BadResponse, BudgetExhausted, CompletionRequest, HttpBackend,
+                   MockBackend, TransportError, approx_tokens, load_exemplars,
                    mock_from_fixtures, plan_parse_prompt, sample_candidates, with_cache)
+from lmsql.backend import CHARS_PER_TOKEN, TOKEN_BUDGET, truncate_at_stop
 from lmsql.cli import RunConfig
 from lmsql.errors import FormatError
+from lmsql.prompts import MAX_OUTPUT_TOKENS
 
 from conftest import RecordingBackend, fixture_path, make_table
 
@@ -393,13 +396,64 @@ def test_http_token_budget():
     backend, _ = http_backend([])
     prompt = "x" * 4 * 7600  # 7600 tokens, plus 512 for the output, is over 8000
     assert approx_tokens(prompt) == 7600
-    with pytest.raises(RateLimited, match="budget is 8000"):
+    with pytest.raises(BudgetExhausted, match="budget is 8000"):
         backend.complete(req(prompt))
     assert backend.urlopen.posts == []
 
 
+def test_mock_reply_is_cut_at_max_output_tokens():
+    mock = MockBackend([("exact", "p", ["x" * 100 + "\n\nmore", "short"])])
+    assert mock.complete(req("p", n=2, max_output_tokens=5)) == ["x" * 20, "short"]
+
+
+def test_cache_refuses_over_budget_request_before_any_lookup(tmp_path):
+    """The refusal comes before the memory and disk tiers: an entry stored
+    for the request's key is neither served nor replaced."""
+    prompt = "x" * CHARS_PER_TOKEN * TOKEN_BUDGET  # over the budget with any reply cap
+    inner = RecordingBackend(MockBackend([("exact", prompt, ["fresh"])]))
+    cached = with_cache(inner, tmp_path / "cache")
+    request = req(prompt)
+    entry = cached._path(cached.key(request))
+    entry.write_text(json.dumps({"responses": ["stored"]}))
+    with pytest.raises(BudgetExhausted):
+        cached.complete(request)
+    assert inner.calls == []
+    assert list((tmp_path / "cache").iterdir()) == [entry]
+    assert json.loads(entry.read_text()) == {"responses": ["stored"]}
+
+
+def _contract_outcome(backend, request):
+    try:
+        return backend.complete(request)
+    except BudgetExhausted as e:
+        return e.__class__, str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(max_output_tokens=st.one_of(st.integers(1, 12), st.integers(1, TOKEN_BUDGET)),
+       slack=st.one_of(st.integers(-8, 8), st.integers(-4 * TOKEN_BUDGET, 4 * TOKEN_BUDGET)),
+       replies=st.lists(st.text(max_size=60), min_size=1, max_size=3),
+       stop=st.lists(st.text(min_size=1, max_size=2), max_size=2))
+def test_every_backend_keeps_one_request_contract(max_output_tokens, slack, replies, stop):
+    """The mock, a cache over it and the HTTP client refuse the same
+    requests with the same error, and cut the same replies the same way."""
+    room = (TOKEN_BUDGET - max_output_tokens) * CHARS_PER_TOKEN  # the longest prompt that fits
+    prompt = "p" * max(0, room + slack)
+    request = req(prompt, max_output_tokens=max_output_tokens, n=len(replies), stop=stop)
+    mock = MockBackend([("exact", prompt, replies)])
+    http, _ = http_backend([FakeResponse(200, {"choices": [{"text": r} for r in replies]})])
+    outcomes = [_contract_outcome(b, request) for b in (mock, with_cache(mock, None), http)]
+    if len(prompt) > room:
+        expected = (BudgetExhausted, f"request needs ~{approx_tokens(prompt) + max_output_tokens} "
+                                     f"tokens, budget is {TOKEN_BUDGET}")
+    else:
+        expected = [truncate_at_stop(r, stop)[:max_output_tokens * CHARS_PER_TOKEN]
+                    for r in replies]
+    assert outcomes == [expected] * 3
+
+
 def test_default_parse_prompt_for_a_large_table_fits_the_service_budget():
-    """The planner keeps the completion's room in the budget, so the parse
+    """The planner keeps the reply's room in the budget, so the parse
     request for a table that fills the prompt is sent, not refused."""
     cfg = RunConfig()
     g = cfg.generation
@@ -413,4 +467,4 @@ def test_default_parse_prompt_for_a_large_table_fits_the_service_budget():
     reply = FakeResponse(200, {"choices": [{"text": "SELECT COUNT(*) FROM w"}] * g.sampling_n})
     backend, _ = http_backend([reply])
     assert sample_candidates(backend, plan.text, g) == ["SELECT COUNT(*) FROM w"] * g.sampling_n
-    assert backend.urlopen.posts[0]["max_tokens"] == g.max_output_tokens
+    assert backend.urlopen.posts[0]["max_tokens"] == MAX_OUTPUT_TOKENS

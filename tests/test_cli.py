@@ -283,16 +283,26 @@ def _fig1_config(**changes) -> dict:
 
 def test_dataset_style_sets_only_its_preset_over_the_config_file(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"generation": {"token_budget": 4000, "max_output_tokens": 256,
-                                                 "temperature": 0.0, "sampling_n": 3}}))
+    config.write_text(json.dumps({"generation": {"temperature": 0.0, "sampling_n": 3},
+                                  "seed": 7}))
     args = cli.build_arg_parser().parse_args(
         ["run", "--config", str(config), "--dataset-style", "tabfact", "--temperature", "0.2"])
     cfg = cli.load_run_config(args.config, args)
     g = cfg.generation
-    assert (g.token_budget, g.max_output_tokens) == (4000, 256)  # the file's
+    assert cfg.seed == 7  # the file's
     assert (g.sampling_n, g.num_shots) == (50, 14)  # the preset's
     assert g.temperature == 0.2  # the flag's
     assert cfg.instruction == INSTRUCTIONS["tabfact"]
+
+
+@pytest.mark.parametrize("key", ["token_budget", "max_output_tokens"])
+def test_budget_and_reply_cap_are_not_config_keys(tmp_path, capsys, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_fig1_config(generation={key: 4000})))
+    got, _, err = run_cli(capsys, "run", str(FIG1 / "dataset.jsonl"), "--config", str(config),
+                          "-o", str(tmp_path / "results.jsonl"))
+    assert got == 2
+    assert err == f"lmsql: unknown generation keys: [{key!r}]\n"
 
 
 POOL_ENTRY = {"title": "t", "column_block": "a", "question": "q?", "answer_block": "a\tb"}

@@ -1,7 +1,8 @@
 """Property tests: the length-based planner returns the plan of the
 straightforward one, which builds the whole prompt for each shot count and
 binary-searches the inference rows when no shot count fits; and every plan
-leaves room for the completion within the token budget."""
+leaves room for the completion within the token budget. The budget is fixed,
+so a test that needs a smaller one pads the instruction (conftest.padded)."""
 
 from __future__ import annotations
 
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from lmsql import BudgetExhausted, GenerationConfig, linearize, plan_parse_prompt
-from lmsql.backend import CHARS_PER_TOKEN, approx_tokens
-from lmsql.prompts import EXEMPLAR_ROWS, PROGRAM_SLOT, Exemplar, PromptPlan
+from lmsql.backend import CHARS_PER_TOKEN, TOKEN_BUDGET, approx_tokens
+from lmsql.prompts import EXEMPLAR_ROWS, MAX_OUTPUT_TOKENS, PROGRAM_SLOT, Exemplar, PromptPlan
 from lmsql.table import Column, Table
+
+from conftest import padded
 
 
 def reference_prompt(instruction, shots, table, title, question, k, rows) -> str:
@@ -36,7 +39,7 @@ def reference_plan(instruction, exemplars, table, title, question, cfg) -> Promp
         return reference_prompt(instruction, shots, table, title, question, k, rows)
 
     def fits(text):
-        return approx_tokens(text) + cfg.max_output_tokens <= cfg.token_budget
+        return approx_tokens(text) + MAX_OUTPUT_TOKENS <= TOKEN_BUDGET
 
     full_rows = table.row_count
     for k in range(len(shots), -1, -1):
@@ -91,31 +94,25 @@ def tables(draw, max_rows=12):
 exemplars = st.builds(Exemplar, tables(max_rows=5), text, text, text)
 
 
-output_tokens = st.integers(1, 600)
-
-
 @settings(max_examples=200, deadline=None)
 @given(instruction=text, shots=st.lists(exemplars, max_size=4), table=tables(),
-       title=text, question=text, num_shots=st.integers(0, 5),
-       max_output_tokens=output_tokens, data=st.data())
-def test_plan_matches_reference(instruction, shots, table, title, question, num_shots,
-                                max_output_tokens, data):
-    # budgets at, or a token either side of, the size of a prompt the
-    # planner may choose plus the completion: k shots and all rows, or no
-    # shots and some rows. Every branch is drawn: all shots, fewer, none
-    # with all rows, some rows, and none at all. The instruction is padded so that this prompt's
-    # length has a drawn remainder modulo CHARS_PER_TOKEN; a planner whose
-    # lengths are a few characters off then fails at one of them.
+       title=text, question=text, num_shots=st.integers(0, 5), data=st.data())
+def test_plan_matches_reference(instruction, shots, table, title, question, num_shots, data):
+    # the instruction is padded so that a prompt the planner may choose (k
+    # shots and all rows, or no shots and some rows) plus the completion
+    # is the budget, or a token either side of it. Every branch is drawn:
+    # all shots, fewer, none with all rows, some rows, and none at all. The
+    # padded prompt's length has a drawn remainder modulo CHARS_PER_TOKEN;
+    # a planner whose lengths are a few characters off then fails at one of them.
     args = (instruction, shots, table, title, question)
     k = data.draw(st.integers(0, len(shots[:num_shots])), label="k")
     rows = table.row_count if k else data.draw(st.integers(0, table.row_count), label="rows")
     remainder = data.draw(st.integers(0, CHARS_PER_TOKEN - 1), label="remainder")
-    pad = (remainder - len(reference_prompt(*args, k, rows))) % CHARS_PER_TOKEN
-    args = (instruction + " " * pad, *args[1:])
-    edge = approx_tokens(reference_prompt(*args, k, rows))
-    budget = edge + max_output_tokens + data.draw(st.integers(-1, 1), label="budget - edge")
-    event(assert_same_plan(args, GenerationConfig(num_shots=num_shots, token_budget=budget,
-                                                  max_output_tokens=max_output_tokens)))
+    edge = TOKEN_BUDGET - MAX_OUTPUT_TOKENS - data.draw(st.integers(-1, 1), label="budget - edge")
+    length = (edge - 1) * CHARS_PER_TOKEN + (remainder or CHARS_PER_TOKEN)
+    args = (instruction + " " * (length - len(reference_prompt(*args, k, rows))), *args[1:])
+    assert approx_tokens(reference_prompt(*args, k, rows)) == edge
+    event(assert_same_plan(args, GenerationConfig(num_shots=num_shots)))
 
 
 @pytest.mark.parametrize("pad", range(CHARS_PER_TOKEN))
@@ -127,26 +124,26 @@ def test_plan_matches_reference_at_every_budget(pad):
     shots = [Exemplar(table, "ex", "q?", "SELECT a FROM w")] * 2
     args = (" " * pad, shots, table, "w", "how many?")
     largest = approx_tokens(reference_prompt(*args, len(shots), table.row_count))
-    reserve = GenerationConfig().max_output_tokens
-    outcomes = {assert_same_plan(args, GenerationConfig(num_shots=len(shots), token_budget=b))
-                for b in range(reserve, reserve + largest + 2)}
+    outcomes = {assert_same_plan((padded(args[0], b), *args[1:]),
+                                 GenerationConfig(num_shots=len(shots)))
+                for b in range(MAX_OUTPUT_TOKENS, MAX_OUTPUT_TOKENS + largest + 2)}
     assert outcomes == {"budget exhausted", "rows cut", "fewer shots", "all shots"}
 
 
 @settings(max_examples=200, deadline=None)
 @given(instruction=text, shots=st.lists(exemplars, max_size=4), table=tables(),
        title=text, question=text, num_shots=st.integers(0, 5),
-       max_output_tokens=output_tokens, prompt_room=st.integers(-10, 300))
+       prompt_room=st.integers(-10, 300))
 def test_plan_leaves_room_for_the_completion(instruction, shots, table, title, question,
-                                             num_shots, max_output_tokens, prompt_room):
-    """The prompt plus the completion fits the budget that HttpBackend
+                                             num_shots, prompt_room):
+    """The prompt plus the completion fits the budget that every backend
     checks, or the planner says that nothing fits."""
-    cfg = GenerationConfig(num_shots=num_shots, max_output_tokens=max_output_tokens,
-                           token_budget=max_output_tokens + prompt_room)
+    instruction = padded(instruction, MAX_OUTPUT_TOKENS + prompt_room)
     try:
-        plan = plan_parse_prompt(instruction, shots, table, title, question, cfg)
+        plan = plan_parse_prompt(instruction, shots, table, title, question,
+                                 GenerationConfig(num_shots=num_shots))
     except BudgetExhausted:
         event("budget exhausted")
         return
     event("planned")
-    assert plan.tokens + cfg.max_output_tokens <= cfg.token_budget
+    assert plan.tokens + MAX_OUTPUT_TOKENS <= TOKEN_BUDGET

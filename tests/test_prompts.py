@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -8,12 +9,9 @@ from lmsql import (BudgetExhausted, GenerationConfig, MockBackend, ParseError,
                    Program, linearize, load_exemplars,
                    parse_candidates, plan_parse_prompt, sample_candidates)
 from lmsql.backend import TOKEN_BUDGET, approx_tokens
-from lmsql.prompts import Exemplar, INSTRUCTIONS, PRESETS
+from lmsql.prompts import MAX_OUTPUT_TOKENS, Exemplar, INSTRUCTIONS, PRESETS
 
-from conftest import fixture_path, make_table
-
-
-RESERVE = GenerationConfig().max_output_tokens  # the budget's room for the completion
+from conftest import fixture_path, make_table, padded
 
 
 def lachlan_exemplar():
@@ -58,13 +56,13 @@ def test_prompt_is_deterministic():
 def test_shot_shrinking_drops_suffix_first():
     exemplars = [lachlan_exemplar() for _ in range(4)]
     infer = small_table()
-    fits_all = plan_parse_prompt("i", exemplars, infer, "T", "q?",
-                                 GenerationConfig(num_shots=4, token_budget=8000))
+    cfg = GenerationConfig(num_shots=4)
+    fits_all = plan_parse_prompt("i", exemplars, infer, "T", "q?", cfg)
     assert fits_all.num_shots == 4
-    tight = GenerationConfig(num_shots=4, token_budget=approx_tokens(fits_all.text) - 20 + RESERVE)
-    fits_fewer = plan_parse_prompt("i", exemplars, infer, "T", "q?", tight)
+    tight = padded("i", approx_tokens(fits_all.text) - 20 + MAX_OUTPUT_TOKENS)
+    fits_fewer = plan_parse_prompt(tight, exemplars, infer, "T", "q?", cfg)
     assert 0 < fits_fewer.num_shots < 4
-    assert fits_fewer.tokens + RESERVE <= tight.token_budget
+    assert fits_fewer.tokens + MAX_OUTPUT_TOKENS <= TOKEN_BUDGET
     # kept shots are a prefix of the exemplar list
     first_block = fits_fewer.text.split("\n\n")[1]
     assert first_block.startswith("CREATE TABLE Electoral district of Lachlan(")
@@ -74,29 +72,27 @@ def test_shot_count_monotone_in_budget():
     exemplars = [lachlan_exemplar() for _ in range(6)]
     infer = small_table(40)
     last = -1
-    for budget in range(400 + RESERVE, 8001 + RESERVE, 400):
-        plan = plan_parse_prompt("i", exemplars, infer, "T", "q?",
-                                 GenerationConfig(num_shots=6, token_budget=budget))
+    for budget in range(400 + MAX_OUTPUT_TOKENS, TOKEN_BUDGET + 1, 400):
+        plan = plan_parse_prompt(padded("i", budget), exemplars, infer, "T", "q?",
+                                 GenerationConfig(num_shots=6))
         assert plan.num_shots >= last
-        assert plan.tokens + RESERVE <= budget
+        assert plan.tokens + MAX_OUTPUT_TOKENS <= TOKEN_BUDGET
         last = plan.num_shots
 
 
 def test_inference_rows_truncated_when_shots_exhausted():
     infer = small_table(300)
     full = linearize(infer, "T", infer.row_count, full=True)
-    budget = approx_tokens(full) // 2 + RESERVE
-    plan = plan_parse_prompt("i", [lachlan_exemplar()], infer, "T", "q?",
-                             GenerationConfig(token_budget=budget))
+    budget = approx_tokens(full) // 2 + MAX_OUTPUT_TOKENS
+    plan = plan_parse_prompt(padded("i", budget), [lachlan_exemplar()], infer, "T", "q?")
     assert plan.num_shots == 0
     assert 0 < plan.inference_rows < 300
-    assert plan.tokens + RESERVE <= budget
+    assert plan.tokens + MAX_OUTPUT_TOKENS <= TOKEN_BUDGET
 
 
 def test_budget_exhausted():
     with pytest.raises(BudgetExhausted):
-        plan_parse_prompt("i" * 400, [], small_table(), "T", "q?",
-                          GenerationConfig(token_budget=10))
+        plan_parse_prompt(padded("i" * 400, 10), [], small_table(), "T", "q?")
 
 
 def test_sample_candidates_passthrough_and_trim():
@@ -117,13 +113,15 @@ def test_parse_candidates_partitions_and_keeps_duplicates():
 def test_generation_defaults_per_dataset():
     g = GenerationConfig()
     assert (g.temperature, g.sampling_n, g.num_shots) == (0.4, 20, 14)
-    assert g.max_output_tokens == 512 and g.token_budget == TOKEN_BUDGET == 8000
+    assert MAX_OUTPUT_TOKENS == 512 and TOKEN_BUDGET == 8000
     assert PRESETS == {
         "wikitq": {"temperature": 0.4, "sampling_n": 20, "num_shots": 14},
         "tabfact": {"temperature": 0.6, "sampling_n": 50, "num_shots": 14},
         "mmqa": {"temperature": 0.4, "sampling_n": 20, "num_shots": 18},
     }
     assert set(PRESETS) == set(INSTRUCTIONS)
+    assert all(set(preset) == {f.name for f in fields(GenerationConfig)}
+               for preset in PRESETS.values())
 
 
 def test_load_exemplars(tmp_path):
