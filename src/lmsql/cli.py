@@ -356,7 +356,9 @@ def cmd_run(args) -> int:
     examples = [example for _, example in _read_jsonl(cfg.dataset)]
     dataset_dir = Path(cfg.dataset).parent
     out_path = Path(args.output) if args.output else Path("results.jsonl")
-    tables: dict = {}  # Tables are immutable and examples run one at a time
+    # Tables are immutable and examples run one at a time; the planner fills
+    # a table's row-line cache from this, the main, thread only
+    tables: dict = {}
     try:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as executor, \
                 out_path.open("w", encoding="utf-8") as fh:

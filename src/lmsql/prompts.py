@@ -7,12 +7,14 @@ the full table and an empty program slot. The prompt and the reply's
 MAX_OUTPUT_TOKENS must fit backend.TOKEN_BUDGET, as every backend checks.
 Exemplars are dropped from the tail until the prompt fits; if none are
 left, inference-table rows are truncated instead. The budget check reads only lengths
-(approx_tokens), so the planner measures the pieces, rendering inference
-rows only until they fill the budget, and builds the text once.
+(approx_tokens), so the planner measures the pieces and builds the text
+once. It picks the rows kept by bisection over Table.row_lines, which
+renders each row once per loaded table, however many examples ask of it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -20,7 +22,7 @@ from pathlib import Path
 from .backend import CHARS_PER_TOKEN, TOKEN_BUDGET, Backend, CompletionRequest, approx_tokens
 from .errors import BudgetExhausted, ParseError
 from .syntax import parse
-from .table import (Table, linearize, linearize_frame, linearize_row, load_table,
+from .table import (Table, linearize, linearize_frame, load_table,
                     normalize, read_json, table_from_json, text_fields)
 
 PROGRAM_SLOT = "Binder:"
@@ -93,23 +95,19 @@ def plan_parse_prompt(instruction: str, exemplars: list, table: Table,
         raise BudgetExhausted(
             f"prompt and {MAX_OUTPUT_TOKENS} output tokens exceed the "
             f"{TOKEN_BUDGET}-token budget even with no exemplars and no inference rows")
-    rows = []
-    for row in table.rows():
-        line = "\n" + linearize_row(row)
-        room -= len(line)
-        if room < 0:
-            break
-        rows.append(line)
+    lines, ends = table.row_lines(room)
+    kept = bisect_right(ends, room) - 1  # the most leading rows that fit
+    room -= ends[kept]
     blocks = []
-    if room >= 0:  # the whole table fits: add shots while they fit
+    if kept == table.row_count:  # the whole table fits: add shots while they fit
         for ex in exemplars[:cfg.num_shots]:
             block = _SEP + ex.block
             room -= len(block)
             if room < 0:
                 break
             blocks.append(block)
-    text = "".join([instruction, *blocks, _SEP, head, *rows, foot])
-    return PromptPlan(text, len(blocks), len(rows))
+    text = "".join([instruction, *blocks, _SEP, head, *lines[:kept], foot])
+    return PromptPlan(text, len(blocks), kept)
 
 
 def sample_candidates(backend: Backend, prompt: str,

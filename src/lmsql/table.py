@@ -1,6 +1,7 @@
 """Table data model: ingestion, normalization, projection and prompt linearization.
 
-A Table is immutable; every shaping operation returns a new one. Cells are
+A Table is immutable; every shaping operation returns a new one, and its
+cache of rendered row lines (row_lines) changes no result. Cells are
 plain Python values: None (null), float (all numbers), str (text, lowercased
 by normalize) or datetime.date.
 """
@@ -13,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -152,6 +154,21 @@ class Table:
     def rows(self) -> Iterator[tuple]:
         return zip(*(c.cells for c in self.columns))
 
+    @cached_property
+    def _row_lines(self) -> tuple:
+        return [], [0], self.rows()  # lines, running lengths, rows not yet rendered
+
+    def row_lines(self, room: int) -> tuple:
+        """The leading rows' prompt lines, each a newline plus linearize_row,
+        and their running lengths, which start at 0. Each row is rendered once
+        per Table, and only when a caller's `room` reaches past the lines
+        rendered so far."""
+        lines, ends, rows = self._row_lines
+        while ends[-1] <= room and len(lines) < self.row_count:
+            lines.append("\n" + linearize_row(next(rows)))
+            ends.append(ends[-1] + len(lines[-1]))
+        return lines, ends
+
 
 # ---- ingestion ----
 
@@ -162,11 +179,9 @@ def _table_from_grid(title: str, header: list, grid: list) -> Table:
     for i, row in enumerate(grid):
         if len(row) != len(header):
             raise FormatError(f"ragged row {i}: {len(row)} fields, expected {len(header)}")
-    cols = []
-    for j, name in enumerate(header):
-        cells = tuple(_ingest_cell(row[j]) for row in grid)
-        cols.append(Column(str(name), "text", cells))
-    return Table(title, tuple(cols))
+    columns = zip(*grid) if grid else [()] * len(header)
+    return Table(title, tuple(Column(str(name), "text", cells)
+                              for name, cells in zip(header, columns)))
 
 
 def _ingest_cell(v) -> Cell:
@@ -187,7 +202,8 @@ def table_from_json(obj: dict, title: Optional[str] = None) -> Table:
         rows = [list(r) for r in obj["rows"]]
     except (KeyError, TypeError) as e:
         raise FormatError(f"JSON table needs 'header' and 'rows': {e}")
-    return _table_from_grid(title or str(obj.get("title", "")), header, rows)
+    t = _table_from_grid(title or str(obj.get("title", "")), header, rows)
+    return Table(t.title, tuple(Column(c.name, "text", map(_ingest_cell, c.cells)) for c in t.columns))
 
 
 def read_json(path, what: str, array: bool = False):
@@ -244,49 +260,40 @@ def load_table(path) -> Table:
 
 # ---- normalization ----
 
+def _convert_all(cells: list, convert):
+    """convert(v) for each cell, nulls kept; None if any conversion fails."""
+    out = []
+    for v in cells:
+        if v is not None:
+            v = convert(v)
+            if v is None:
+                return None
+        out.append(v)
+    return out
+
+
+def _as_number(v) -> Optional[float]:
+    return v if isinstance(v, float) else parse_number(v) if isinstance(v, str) else None
+
+
+def _as_date(v) -> Optional[date]:
+    return v if isinstance(v, date) else parse_date_like(v) if isinstance(v, str) else None
+
+
 def _infer_cells(cells: Iterable[Cell]):
     """Infer (declared_type, converted_cells). Empty/missing cells are ignored
     for inference and stored null."""
-    present = []
-    for v in cells:
-        if v is None or (isinstance(v, str) and not v.strip()):
-            present.append(None)
-        else:
-            present.append(v)
-    nonnull = [v for v in present if v is not None]
-
-    def all_numeric():
-        out = []
-        for v in nonnull:
-            if isinstance(v, float):
-                out.append(v)
-            elif isinstance(v, str):
-                n = parse_number(v)
-                if n is None:
-                    return None
-                out.append(n)
-            else:
-                return None
-        return out
-
-    if nonnull:
-        nums = all_numeric()
+    present = [None if v is None or (isinstance(v, str) and not v.strip()) else v for v in cells]
+    if present.count(None) < len(present):
+        nums = _convert_all(present, _as_number)
         if nums is not None:
-            kind = "int" if all(n == int(n) for n in nums) else "real"
-            it = iter(nums)
-            return kind, tuple(None if v is None else next(it) for v in present)
-        dates = []
-        for v in nonnull:
-            d = v if isinstance(v, date) else parse_date_like(v) if isinstance(v, str) else None
-            if d is None:
-                dates = None
-                break
-            dates.append(d)
-        if dates:
-            it = iter(dates)
-            return "date", tuple(None if v is None else next(it) for v in present)
-    text = tuple(None if v is None else cell_to_text(v).lower() for v in present)
-    return "text", text
+            kind = "int" if all(n is None or n == int(n) for n in nums) else "real"
+            return kind, tuple(nums)
+        dates = _convert_all(present, _as_date)
+        if dates is not None:
+            return "date", tuple(dates)
+    return "text", tuple(v if v is None else v.lower() if isinstance(v, str)
+                         else cell_to_text(v).lower() for v in present)
 
 
 def normalize(t: Table) -> Table:

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from lmsql import INSTRUCTIONS, GenerationConfig, MockBackend, mock_from_fixtures, with_cache
+import lmsql.table
+from lmsql import (INSTRUCTIONS, GenerationConfig, MockBackend, load_exemplars, load_table,
+                   mock_from_fixtures, with_cache)
 from lmsql import cli
 from lmsql.cli import RunConfig, main
+from lmsql.prompts import EXEMPLAR_ROWS
 
 from conftest import RecordingBackend, fixture_path
 
@@ -398,6 +401,28 @@ def test_run_loads_each_table_once_per_run(tmp_path, capsys, monkeypatch):
         alone.append((tmp_path / f"out{i}.jsonl").read_text())
     assert runs[0] == "".join(alone)
     assert len(runs[0].splitlines()) == 3
+
+
+def test_run_renders_each_table_row_once_per_run(tmp_path, capsys, monkeypatch):
+    """The planner keeps a loaded table's row lines for the rest of the run,
+    and not past it: two runs in one process render the same rows, and
+    neither renders a row of the same table twice."""
+    rendered = []
+    linearize_row = lmsql.table.linearize_row
+
+    def counting(row):
+        rendered[-1] += 1
+        return linearize_row(row)
+    monkeypatch.setattr(lmsql.table, "linearize_row", counting)
+    for name in ("first.jsonl", "second.jsonl"):
+        rendered.append(0)
+        code, _, _ = run_cli(capsys, "run", str(BENCH / "dataset.jsonl"),
+                             "--config", str(BENCH / "config.json"), "-o", str(tmp_path / name))
+        assert code == 0
+    exemplar_rows = EXEMPLAR_ROWS * len(load_exemplars(BENCH / "exemplars.json"))
+    table_rows = sum(load_table(p).row_count for p in (BENCH / "tables").iterdir())
+    assert rendered[0] == rendered[1]
+    assert exemplar_rows < rendered[0] <= exemplar_rows + table_rows
 
 
 def run_with_third_b01_candidate(tmp_path, capsys, program: str) -> dict:

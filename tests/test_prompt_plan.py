@@ -1,7 +1,8 @@
 """Property tests: the length-based planner returns the plan of the
 straightforward one, which builds the whole prompt for each shot count and
-binary-searches the inference rows when no shot count fits; and every plan
-leaves room for the completion within the token budget. The budget is fixed,
+binary-searches the inference rows when no shot count fits, whatever plans
+were made of the same Table before; and every plan leaves room for the
+completion within the token budget. The budget is fixed,
 so a test that needs a smaller one pads the instruction (conftest.padded)."""
 
 from __future__ import annotations
@@ -147,3 +148,27 @@ def test_plan_leaves_room_for_the_completion(instruction, shots, table, title, q
         return
     event("planned")
     assert plan.tokens + MAX_OUTPUT_TOKENS <= TOKEN_BUDGET
+
+
+@settings(max_examples=200, deadline=None)
+@given(shots=st.lists(exemplars, max_size=3), table=tables(), title=text, question=text,
+       remainder=st.integers(0, CHARS_PER_TOKEN - 1), data=st.data())
+def test_plan_does_not_depend_on_earlier_plans(shots, table, title, question, remainder, data):
+    """One Table, planned at a drawn sequence of budgets and then at the same
+    budgets in reverse, so that a smaller budget follows a larger one and a
+    larger a smaller: each plan is the reference plan, and so the plan of a
+    fresh copy of the table, which has rendered no rows yet."""
+    instruction = " " * remainder
+    smallest, largest = (approx_tokens(reference_prompt(instruction, shots, table, title,
+                                                        question, k, rows))
+                         for k, rows in ((0, 0), (len(shots), table.row_count)))
+    budgets = data.draw(st.lists(st.integers(MAX_OUTPUT_TOKENS + smallest - 1,
+                                             MAX_OUTPUT_TOKENS + largest + 1),
+                                 min_size=2, max_size=6), label="budgets")
+    cfg = GenerationConfig(num_shots=len(shots))
+    for budget in budgets + budgets[::-1]:
+        args = (padded(instruction, budget), shots, table, title, question)
+        outcome = assert_same_plan(args, cfg)
+        event(outcome)
+        fresh = Table(table.title, table.columns)
+        assert assert_same_plan((*args[:2], fresh, *args[3:]), cfg) == outcome

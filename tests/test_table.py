@@ -1,11 +1,19 @@
 from __future__ import annotations
 
-import pytest
+import csv
+import math
+import tempfile
+from datetime import date
+from pathlib import Path
 
-from lmsql import (DuplicateColumn, FormatError, IoError, LengthMismatch,
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+import lmsql.table
+from lmsql import (DuplicateColumn, FormatError, IoError, LengthMismatch, LmSqlError,
                    UnknownColumn, augment, linearize, load_table, normalize,
-                   project)
-from lmsql.table import Column, Table, parse_date_like
+                   project, table_from_json)
+from lmsql.table import (Column, Table, cell_to_text, parse_date_like, parse_number)
 
 from conftest import fixture_path, make_table
 
@@ -158,3 +166,163 @@ def test_parse_date_like_forms():
         assert d is not None and d.isoformat() == "1990-05-27"
     assert parse_date_like("не дата") is None
     assert parse_date_like("1859–1864") is None
+
+
+# ---- ingest against the two-pass code it replaced ----
+# Every cell went through old_ingest_cell on ingest, and _infer_cells then
+# walked it again. The old code runs through the public functions with
+# these two in place of the current ones.
+
+def old_ingest_cell(v):
+    if v is None:
+        return None
+    if isinstance(v, bool):
+        return 1.0 if v else 0.0
+    if isinstance(v, (int, float)):
+        f = float(v)
+        return f if math.isfinite(f) else None
+    return str(v)
+
+
+def old_table_from_grid(title, header, grid):
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise FormatError(f"duplicate headers: {dupes}")
+    for i, row in enumerate(grid):
+        if len(row) != len(header):
+            raise FormatError(f"ragged row {i}: {len(row)} fields, expected {len(header)}")
+    cols = []
+    for j, name in enumerate(header):
+        cells = tuple(old_ingest_cell(row[j]) for row in grid)
+        cols.append(Column(str(name), "text", cells))
+    return Table(title, tuple(cols))
+
+
+def old_table_from_json(obj):
+    return old_table_from_grid(str(obj.get("title", "")), list(obj["header"]),
+                               [list(r) for r in obj["rows"]])
+
+
+def old_infer_cells(cells):
+    present = []
+    for v in cells:
+        if v is None or (isinstance(v, str) and not v.strip()):
+            present.append(None)
+        else:
+            present.append(v)
+    nonnull = [v for v in present if v is not None]
+
+    def all_numeric():
+        out = []
+        for v in nonnull:
+            if isinstance(v, float):
+                out.append(v)
+            elif isinstance(v, str):
+                n = parse_number(v)
+                if n is None:
+                    return None
+                out.append(n)
+            else:
+                return None
+        return out
+
+    if nonnull:
+        nums = all_numeric()
+        if nums is not None:
+            kind = "int" if all(n == int(n) for n in nums) else "real"
+            it = iter(nums)
+            return kind, tuple(None if v is None else next(it) for v in present)
+        dates = []
+        for v in nonnull:
+            d = v if isinstance(v, date) else parse_date_like(v) if isinstance(v, str) else None
+            if d is None:
+                dates = None
+                break
+            dates.append(d)
+        if dates:
+            it = iter(dates)
+            return "date", tuple(None if v is None else next(it) for v in present)
+    text = tuple(None if v is None else cell_to_text(v).lower() for v in present)
+    return "text", text
+
+
+def ingest_outcome(build, two_pass=False):
+    """The normalized table build() gives, every cell with its exact type
+    (1.0, True and '1' differ), or the error it raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        if two_pass:
+            mp.setattr(lmsql.table, "_table_from_grid", old_table_from_grid)
+            mp.setattr(lmsql.table, "_infer_cells", old_infer_cells)
+        try:
+            t = normalize(build())
+        except LmSqlError as e:
+            return type(e), str(e)
+    return t.title, [(c.name, c.declared_type, [(type(v), repr(v)) for v in c.cells])
+                     for c in t.columns]
+
+
+blank_text = st.sampled_from(["", " ", "\t", "  "])
+number_text = st.one_of(st.integers().map(str), st.floats().map(repr),
+                        st.sampled_from(["1_000", " 7 ", "1e3", "-0", "+2.50", "nan", "-inf"]))
+date_text = st.one_of(st.dates(min_value=date(1000, 1, 1)).map(date.isoformat),
+                      st.sampled_from(["2013-11-13 10:20", "March 3, 2001", "3 mar 2001",
+                                       "1/2/2003", "2001-02-30", "13/13/2013"]))
+cell_texts = [st.text(max_size=8), blank_text, number_text, date_text]
+cell_values = [st.none(), st.booleans(), st.integers(), st.floats(),
+               st.sampled_from([math.nan, math.inf, -math.inf]), *cell_texts]
+headers = st.lists(st.sampled_from(["a", "b", "A", "row_id", "x y", "", "1st"]),
+                   max_size=4, unique=True)
+
+
+def event_kinds(outcome) -> None:
+    if isinstance(outcome[1], str):
+        event(outcome[1].split(":")[0])
+        return
+    for _, kind, _ in outcome[1][1:]:
+        event(kind)
+
+
+@st.composite
+def grids(draw, kinds):
+    """A header and rows, each column's cells drawn mostly from one kind (so
+    that numeric and date columns occur), and now and then a repeated header
+    or a ragged row."""
+    header = draw(headers)
+    if header and draw(st.integers(0, 9)) == 0:
+        header.append(header[0])
+    n_rows = draw(st.integers(0, 6))
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from(kinds))
+        mixed = st.sampled_from(kinds).flatmap(lambda k: k)
+        cells = st.one_of(kind, kind, kind, blank_text, mixed)
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    rows = [list(row) for row in zip(*columns)] if header else [[] for _ in range(n_rows)]
+    if rows and draw(st.integers(0, 9)) == 0:
+        row = draw(st.sampled_from(rows))
+        row.pop() if row and draw(st.booleans()) else row.append("")
+    return header, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=grids(cell_texts), suffix=st.sampled_from([".csv", ".tsv"]))
+def test_csv_ingest_matches_two_pass(grid, suffix):
+    header, rows = grid
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"t{suffix}"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, delimiter="," if suffix == ".csv" else "\t",
+                       lineterminator="\n").writerows([header, *rows])
+        outcome = ingest_outcome(lambda: load_table(path))
+        assert outcome == ingest_outcome(lambda: load_table(path), two_pass=True)
+    event_kinds(outcome)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=grids(cell_values), title=st.text(max_size=5))
+def test_json_ingest_matches_two_pass(grid, title):
+    header, rows = grid
+    obj = {"title": title, "header": header, "rows": rows}
+    outcome = ingest_outcome(lambda: table_from_json(obj))
+    assert outcome == ingest_outcome(lambda: old_table_from_json(obj), two_pass=True)
+    event_kinds(outcome)
