@@ -23,8 +23,8 @@ from .metrics import JUDGES, evaluate_dataset
 from .prompts import (INSTRUCTIONS, PRESETS, GenerationConfig, load_exemplars,
                       parse_candidates, plan_parse_prompt, sample_candidates)
 from .syntax import Program, parse, print_program
-from .table import (Column, Table, load_table, normalize, read_json, table_from_json,
-                    text_fields)
+from .table import (Column, Table, load_table, normalize, read_json, read_text,
+                    table_from_json, text_fields)
 from .voting import STRATEGIES, Candidate, vote
 
 EXIT_OK = 0
@@ -198,20 +198,14 @@ def _table_for_example(example: dict, dataset_dir: Path, tables: dict,
 def _read_jsonl(path: str) -> list:
     """(where, value) for each non-blank line, where naming the file and line."""
     p = Path(path)
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise IoError(f"cannot read {p}: {e}")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{p.name} is not UTF-8 text: {e}")
     records = []
-    for i, line in enumerate(lines):
+    for i, line in enumerate(read_text(p).splitlines()):
         if not line.strip():
             continue
         where = f"{p.name} line {i + 1}"
         try:
             records.append((where, json.loads(line)))
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON, or an integer too long to convert
             raise FormatError(f"{where}: {e}")
     return records
 
@@ -262,15 +256,14 @@ def cmd_parse(args) -> int:
 
 def _execute_candidate(index: int, item, table: Table, backend: Backend, pool) -> Candidate:
     if not isinstance(item, Program):
-        return Candidate(index, item, None, False)
-    uses_calls = bool(item.calls)
+        return Candidate(index, item, None)
     try:
         trace = run_program(item, table, backend, pool)
     except LmSqlError as e:
         # without its traceback, whose frames hold the table, the worker
         # thread's work item and through it this very Candidate
-        return Candidate(index, item, e.with_traceback(None), uses_calls)
-    return Candidate(index, item, trace.answer, uses_calls)
+        return Candidate(index, item, e.with_traceback(None))
+    return Candidate(index, item, trace.answer)
 
 
 def _print_trace(trace: ExecutionTrace) -> None:

@@ -21,11 +21,6 @@ from .syntax import (Aggregate, Binary, ColumnRef, InList, IsNull, Literal,
 from .table import Cell, Table, cell_to_text, format_number, parse_date_like, parse_number
 
 
-@dataclass(frozen=True)
-class Denotation:
-    rows: tuple  # tuple of row tuples
-
-
 EMPTY_KEY = "<empty>"
 KEY_SEP = "\x1f"
 
@@ -61,11 +56,6 @@ class Answer:
 
 
 EMPTY_ANSWER = Answer(())
-
-
-def denotation_to_answer(d: Denotation) -> Answer:
-    """Flatten rows in row-major order; scalars become singletons."""
-    return Answer(tuple(v for row in d.rows for v in row))
 
 
 # ---- value helpers ----
@@ -449,8 +439,9 @@ def _group(q: Query, t: Table, subqueries: dict, indices) -> list:
     return list(buckets.values())  # insertion order = first-appearance order
 
 
-def execute_sql(p: Program, t: Table) -> Denotation:
-    """Execute a model-call-free program against a table."""
+def execute_sql(p: Program, t: Table) -> tuple:
+    """Execute a model-call-free program against a table: its rows, each a
+    tuple of cells."""
     if p.calls:
         raise UnsupportedFeature("program still contains model calls; resolve them first")
-    return Denotation(tuple(_exec_query(p.root, t, {})))
+    return tuple(_exec_query(p.root, t, {}))

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .backend import Backend, CompletionRequest
-from .engine import Answer, denotation_to_answer, execute_sql
+from .engine import Answer, execute_sql
 from .errors import EvalError, FormatError, MalformedResponse, ResolutionError
 from .syntax import (ApiCall, ColumnRef, Literal, Program, api_calls_bottom_up,
                      assign_roles, map_children)
@@ -277,26 +277,27 @@ def run_program(p: Program, t: Table, backend: Backend, pool=None) -> ExecutionT
     """Full execution with per-call trace. One post-order pass resolves each
     call once its arguments are columns and substitutes it in the same
     visit, so resolutions run strictly sequentially in bottom-up order.
-    Call-free programs never touch the backend."""
-    tagged = assign_roles(p)
-    if not api_calls_bottom_up(tagged):
-        return ExecutionTrace(denotation_to_answer(execute_sql(tagged, t)), [], tagged)
-    if pool is None:
-        pool = default_exec_demos()
+    Call-free programs never touch the backend. The answer is the result
+    rows flattened in row-major order."""
+    program = assign_roles(p)
     working = t
     resolutions = []
+    if api_calls_bottom_up(program):
+        if pool is None:
+            pool = default_exec_demos()
 
-    def resolve(call: ApiCall):
-        nonlocal working
-        try:
-            res = resolve_call(call, working, backend, pool, len(resolutions))
-        except Exception as e:
-            raise ResolutionError(call.question, e) from e
-        resolutions.append(res)
-        if isinstance(res.outcome, Column):
-            working = augment(working, res.outcome)
-            return ColumnRef(res.generated_name)
-        return Literal(res.outcome)
+        def resolve(call: ApiCall):
+            nonlocal working
+            try:
+                res = resolve_call(call, working, backend, pool, len(resolutions))
+            except Exception as e:
+                raise ResolutionError(call.question, e) from e
+            resolutions.append(res)
+            if isinstance(res.outcome, Column):
+                working = augment(working, res.outcome)
+                return ColumnRef(res.generated_name)
+            return Literal(res.outcome)
 
-    pure = Program(_substitute_calls(tagged.root, resolve), tagged.source_text)
-    return ExecutionTrace(denotation_to_answer(execute_sql(pure, working)), resolutions, pure)
+        program = Program(_substitute_calls(program.root, resolve), program.source_text)
+    rows = execute_sql(program, working)
+    return ExecutionTrace(Answer(tuple(v for row in rows for v in row)), resolutions, program)

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import LexError, ParseError, RoleAmbiguity
 from .table import format_number
@@ -153,7 +153,7 @@ class IsNull:
 @dataclass(frozen=True)
 class Aggregate:
     func: str  # COUNT SUM AVG MIN MAX
-    arg: object  # Expr | Star
+    arg: object  # an expression, or Star
     distinct: bool = False
     pos: int = field(default=-1, compare=False, repr=False)
 
@@ -204,10 +204,6 @@ class Program:
         out: list = []
         _collect_calls(self.root, out)
         return tuple(out)
-
-
-Expr = Union[Literal, ColumnRef, Star, Unary, Binary, InList, IsNull,
-             Aggregate, ScalarSubquery, ApiCall]
 
 
 # ---- traversal ----
@@ -309,9 +305,8 @@ MAX_DEPTH = 64
 
 
 class _Parser:
-    def __init__(self, text: str, allow_api_calls: bool = True):
+    def __init__(self, text: str):
         self.text = text
-        self.allow_api_calls = allow_api_calls
         self.tokens = tokenize(text)
         self.i = 0
         self.depth = 0  # parse_expr and model-call levels open at the cursor
@@ -523,8 +518,6 @@ class _Parser:
 
     def parse_api_call(self) -> ApiCall:
         name = self.advance()
-        if not self.allow_api_calls:
-            raise ParseError("model calls are not allowed in plain SQL mode", name.pos)
         self.depth += 1
         self.nest(self.depth)
         self.expect_sym("(")
@@ -563,9 +556,9 @@ def _check_aggregate_placement(q: Query) -> None:
             raise ParseError("aggregates are not allowed in GROUP BY", g.pos)
 
 
-def parse(text: str, allow_api_calls: bool = True) -> Program:
+def parse(text: str) -> Program:
     """Parse source text into a Program; ParseError carries the offset."""
-    return _Parser(text, allow_api_calls).parse_program()
+    return _Parser(text).parse_program()
 
 
 # ---- canonical printer ----

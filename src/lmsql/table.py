@@ -174,7 +174,8 @@ class Table:
 
 def _table_from_grid(title: str, header: list, grid: list) -> Table:
     if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
+        dupes = sorted({h for h in header if header.count(h) > 1},
+                       key=lambda h: (type(h).__name__, h))  # JSON headers mix types
         raise FormatError(f"duplicate headers: {dupes}")
     for i, row in enumerate(grid):
         if len(row) != len(header):
@@ -190,7 +191,10 @@ def _ingest_cell(v) -> Cell:
     if isinstance(v, bool):
         return 1.0 if v else 0.0
     if isinstance(v, (int, float)):
-        f = float(v)
+        try:
+            f = float(v)
+        except OverflowError:  # an integer beyond float range
+            return None
         return f if math.isfinite(f) else None
     return str(v)
 
@@ -202,8 +206,22 @@ def table_from_json(obj: dict, title: Optional[str] = None) -> Table:
         rows = [list(r) for r in obj["rows"]]
     except (KeyError, TypeError) as e:
         raise FormatError(f"JSON table needs 'header' and 'rows': {e}")
+    if any(isinstance(h, (dict, list)) for h in header):
+        raise FormatError("JSON table header entries must be strings, numbers, booleans or null")
     t = _table_from_grid(title or str(obj.get("title", "")), header, rows)
     return Table(t.title, tuple(Column(c.name, "text", map(_ingest_cell, c.cells)) for c in t.columns))
+
+
+def read_text(path) -> str:
+    """The text of one UTF-8 input file. An unreadable file is an IoError;
+    one that is not UTF-8 is a FormatError."""
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except OSError as e:
+        raise IoError(f"cannot read {p}: {e}")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{p.name} is not UTF-8 text: {e}")
 
 
 def read_json(path, what: str, array: bool = False):
@@ -245,14 +263,8 @@ def load_table(path) -> Table:
         raise FormatError(f"unknown table format {p.suffix!r} for {p.name}")
     if suffix == ".json":
         return table_from_json(read_json(p, "table"))
-    try:
-        raw = p.read_text(encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot read {p}: {e}")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{p.name} is not UTF-8 text: {e}")
     delim = "," if suffix == ".csv" else "\t"
-    rows = list(csv.reader(raw.splitlines(), delimiter=delim))
+    rows = list(csv.reader(read_text(p).splitlines(), delimiter=delim))
     if not rows:
         raise FormatError(f"{p.name} is empty")
     return _table_from_grid(p.stem, rows[0], rows[1:])

@@ -16,7 +16,10 @@ class Candidate:
     index: int
     program: Union[Program, Exception]
     answer: Union[Answer, Exception, None]
-    has_api_call: bool = False
+
+    @property
+    def has_api_call(self) -> bool:
+        return isinstance(self.program, Program) and bool(self.program.calls)
 
     def ok(self) -> bool:
         return isinstance(self.program, Program) and isinstance(self.answer, Answer)

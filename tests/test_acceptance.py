@@ -9,11 +9,11 @@ import time
 from pathlib import Path
 
 from lmsql import (Answer, Candidate, MockBackend, build_map_prompt,
-                   default_exec_demos, denotation_to_answer, execute_sql,
-                   linearize, load_table, normalize, official_em, parse,
-                   print_program, run_program, semantic_em, string_em, vote)
+                   default_exec_demos, execute_sql, linearize, load_table,
+                   normalize, parse, print_program, run_program, semantic_em, vote)
 from lmsql.backend import TOKEN_BUDGET, approx_tokens
 from lmsql.cli import main as cli_main
+from lmsql.metrics import official_em, string_em
 from lmsql.prompts import MAX_OUTPUT_TOKENS, GenerationConfig, Exemplar, plan_parse_prompt
 from lmsql.syntax import api_calls_bottom_up
 
@@ -47,13 +47,12 @@ def test_c02_conservativity_of_extended_grammar():
     for _ in range(trials):
         table, num_cols, text_cols = make_random_table(rng)
         sql, _, _ = random_query(rng, num_cols, text_cols)
-        extended = parse(sql)
-        plain = parse(sql, allow_api_calls=False)
-        assert extended.root == plain.root, sql
+        program = parse(sql)
+        assert not program.calls, sql
         backend = RecordingBackend(MockBackend())
-        got = run_program(extended, table, backend, pool=[]).answer
-        want = denotation_to_answer(execute_sql(plain, table))
-        assert got.values == want.values, sql
+        got = run_program(program, table, backend, pool=[]).answer
+        rows = execute_sql(program, table)
+        assert got.values == tuple(v for row in rows for v in row), sql
         assert backend.calls == [], "backend must never be invoked for call-free programs"
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -67,7 +66,7 @@ def test_c03_relational_oracle_equivalence():
     for trial in range(trials):
         table, num_cols, text_cols = make_random_table(rng)
         mine_sql, sqlite_sql, ordered = random_query(rng, num_cols, text_cols)
-        mine = execute_sql(parse(mine_sql), table).rows
+        mine = execute_sql(parse(mine_sql), table)
         theirs = sqlite_denotation(table, sqlite_sql)
         assert rows_match(mine, theirs, ordered), (trial, mine_sql, mine, theirs)
     elapsed = time.monotonic() - start
@@ -101,7 +100,7 @@ def test_c05_vote_arithmetic():
     binder = parse('SELECT f("q"; a) FROM w')
 
     def cand(i, values, api=False):
-        return Candidate(i, binder if api else plain, Answer(tuple(values)), api)
+        return Candidate(i, binder if api else plain, Answer(tuple(values)))
 
     answer, rep = vote([cand(0, [1.0]), cand(1, [0.0]), cand(2, [0.0]), cand(3, [0.0])],
                        "answer-biased")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -358,6 +359,29 @@ def test_bad_example_fails_only_its_record(tmp_path, capsys, bad, error):
     assert middle["error"] == error and middle["final_answer"] == []
 
 
+def test_hostile_inline_tables_fail_only_their_records(tmp_path, capsys):
+    """A table cell beyond float range is null; a header entry that is a
+    JSON object or array is a FormatError of its record alone."""
+    good = json.loads((FIG1 / "dataset.jsonl").read_text())
+    good["table_path"] = SHIRTS
+    big = {"id": "big", "question": "how many rows?", "table": {"header": ["a"], "rows": [[10**400]]}}
+    nested = {"id": "nested", "question": "how many rows?",
+              "table": {"header": [{"x": 1}], "rows": [[1]]}}
+    outs = []
+    for name, examples in (("mixed", (big, good, nested)), ("alone", (good,))):
+        dataset = tmp_path / f"{name}.jsonl"
+        dataset.write_text("".join(json.dumps(e) + "\n" for e in examples))
+        results = tmp_path / f"{name}-results.jsonl"
+        code, _, _ = run_cli(capsys, "run", str(dataset), "--config", str(FIG1 / "config.json"),
+                             "-o", str(results))
+        assert code == 0
+        outs.append(results.read_text().splitlines())
+    mixed, alone = outs
+    assert [json.loads(line)["id"] for line in mixed] == ["big", good["id"], "nested"]
+    assert mixed[1] == alone[0]
+    assert "header entries must be strings" in json.loads(mixed[2])["error"]
+
+
 BENCH = fixture_path("bench")
 
 
@@ -490,6 +514,19 @@ def test_non_utf8_input_is_a_format_error(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert err.startswith("lmsql: utf16.jsonl is not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text limit")
+def test_integer_too_long_to_read_is_a_format_error(tmp_path, capsys):
+    """json.loads refuses an integer of more than 4300 digits with a plain
+    ValueError, which is not a JSONDecodeError."""
+    dataset = tmp_path / "huge.jsonl"
+    dataset.write_text('{"id": "q", "question": "how many rows?", '
+                       '"table": {"header": ["a"], "rows": [[1' + "0" * 5000 + ']]}}\n')
+    code, _, err = run_cli(capsys, "run", str(dataset), "--config", str(FIG1 / "config.json"),
+                           "-o", str(tmp_path / "results.jsonl"))
+    assert code == 3
+    assert err.startswith("lmsql: huge.jsonl line 1: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("which, line, error", [

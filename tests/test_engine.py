@@ -9,8 +9,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmsql import (Answer, Column, EvalError, ParseError, Program, Table, UnknownColumn,
-                   UnsupportedFeature, denotation_to_answer, execute_sql, parse)
+from lmsql import (Answer, Column, EvalError, NullBackend, ParseError, Program, Table,
+                   UnknownColumn, UnsupportedFeature, execute_sql, parse, run_program)
 from lmsql import engine
 from lmsql.syntax import Literal
 
@@ -23,7 +23,7 @@ def run(sql: str, t):
 
 
 def answer(sql: str, t):
-    return denotation_to_answer(run(sql, t)).display()
+    return run_program(parse(sql), t, NullBackend()).answer.display()
 
 
 @pytest.fixture
@@ -33,8 +33,7 @@ def members():
 
 
 def test_count_star(members):
-    d = run("SELECT COUNT(*) FROM w", members)
-    assert d.rows == ((3.0,),)
+    assert run("SELECT COUNT(*) FROM w", members) == ((3.0,),)
 
 
 def test_order_by_desc_limit(members):
@@ -43,8 +42,7 @@ def test_order_by_desc_limit(members):
 
 def test_boolean_subquery_counts(records):
     sql = "SELECT (SELECT COUNT(place) FROM w WHERE place LIKE '%united kingdom') = 8"
-    d = run(sql, records)
-    assert d.rows == ((1.0,),)  # boolean results are 1/0, never text
+    assert run(sql, records) == ((1.0,),)  # boolean results are 1/0, never text
 
 
 def test_limit_beyond_float_range_is_an_eval_error(members):
@@ -69,7 +67,7 @@ def test_limit_count_follows_sqlite(members, count):
     else:
         program = parse(sql + count)
     try:
-        mine = execute_sql(program, members).rows
+        mine = execute_sql(program, members)
     except EvalError:
         mine = EvalError
     assert mine == theirs
@@ -79,7 +77,7 @@ def test_digit_grouping_is_text_as_in_sqlite():
     """'1_000' is not the number 1000, in a comparison or in a text column's type."""
     t = Table("t", (Column("s", "text", ("1_000", "1000", "abc")),))
     sql = "SELECT s FROM w WHERE s = 1000"
-    assert run(sql, t).rows == tuple(sqlite_denotation(t, sql)) == (("1000",),)
+    assert run(sql, t) == tuple(sqlite_denotation(t, sql)) == (("1000",),)
     assert make_table("t", ["s"], [["1_000"], ["2"]]).column("s").declared_type == "text"
 
 
@@ -217,7 +215,7 @@ def test_scalar_subquery_runs_once_per_execute(members, monkeypatch):
 ])
 def test_numbers_beyond_float_range_are_null(sql):
     t = make_table("w", ["member", "big"], [["a", "1e308"], ["b", "1e308"]])
-    values = denotation_to_answer(run(sql, t)).display()
+    values = answer(sql, t)
     assert values and set(values) == {"none"}
 
 
@@ -243,13 +241,13 @@ def test_unresolved_call_rejected(members):
         run('SELECT f("q"; member) FROM w', members)
 
 
-def test_denotation_to_answer_shapes(members):
-    assert denotation_to_answer(run("SELECT COUNT(*) FROM w WHERE 0", members)).display() == ["0"]
-    empty = denotation_to_answer(run("SELECT member FROM w WHERE 0 = 1", members))
+def test_answer_flattens_rows(members):
+    assert answer("SELECT COUNT(*) FROM w WHERE 0", members) == ["0"]
+    empty = run_program(parse("SELECT member FROM w WHERE 0 = 1"), members, NullBackend()).answer
     assert empty.values == ()
     assert empty.normalized_key == "<empty>"
-    rows = denotation_to_answer(run("SELECT member FROM w LIMIT 2", members))
-    assert rows.display() == ["alice", "bob"]
+    assert answer("SELECT member FROM w LIMIT 2", members) == ["alice", "bob"]
+    assert answer("SELECT member, duration FROM w LIMIT 2", members) == ["alice", "10", "bob", "5"]
 
 
 def test_answer_key_canonicalization():

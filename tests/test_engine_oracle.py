@@ -17,7 +17,7 @@ def test_matches_sqlite_on_random_queries():
     for trial in range(TRIALS):
         table, num_cols, text_cols = make_random_table(rng)
         mine_sql, sqlite_sql, ordered = random_query(rng, num_cols, text_cols)
-        mine = execute_sql(parse(mine_sql), table).rows
+        mine = execute_sql(parse(mine_sql), table)
         theirs = sqlite_denotation(table, sqlite_sql)
         if not rows_match(mine, theirs, ordered):
             failures.append((trial, mine_sql, mine, theirs))

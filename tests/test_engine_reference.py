@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from lmsql import parse
-from lmsql.engine import (Denotation, _coerce_number, _comparable_pair, _group_key,
+from lmsql.engine import (_coerce_number, _comparable_pair, _group_key,
                           _like_regex, _limit_count, _order_rows, _scalar, _sort_key,
                           execute_sql)
 from lmsql.errors import EvalError, UnsupportedFeature
@@ -331,18 +331,18 @@ def _group(q: Query, top: _Scope, indices: list) -> list:
     return list(buckets.values())  # insertion order = first-appearance order
 
 
-def reference_execute_sql(p: Program, t: Table) -> Denotation:
-    """Execute a model-call-free program against a table."""
+def reference_execute_sql(p: Program, t: Table) -> tuple:
+    """Execute a model-call-free program against a table: its rows."""
     if p.calls:
         raise UnsupportedFeature("program still contains model calls; resolve them first")
-    return Denotation(tuple(_exec_query(p.root, t, {})))
+    return tuple(_exec_query(p.root, t, {}))
 
 
 # ---- the comparison ----
 
 def _outcome(run, program, table: Table):
     try:
-        return "rows", run(parse(program) if isinstance(program, str) else program, table).rows
+        return "rows", run(parse(program) if isinstance(program, str) else program, table)
     except Exception as e:  # the same errors, LmSqlError or not, in the same place
         return "error", type(e), str(e)
 

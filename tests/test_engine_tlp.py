@@ -25,7 +25,7 @@ def _partitions(q: str, p: str) -> list:
 
 
 def _rows(sql: str, table) -> list:
-    return list(execute_sql(parse(sql), table).rows)
+    return list(execute_sql(parse(sql), table))
 
 
 def _multiset(rows) -> list:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from lmsql import (Answer, evaluate_dataset, official_em, semantic_em,
-                   string_em)
+from lmsql import Answer, evaluate_dataset, semantic_em
+from lmsql.metrics import official_em, string_em
 
 # The published 4-example x 3-judge comparison matrix.
 MATRIX = [

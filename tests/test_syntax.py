@@ -8,10 +8,10 @@ import pytest
 
 from lmsql import (ApiCall, Answer, LexError, MockBackend, ParseError, RoleAmbiguity,
                    api_calls_bottom_up, assign_roles, parse, print_program,
-                   run_program, tokenize)
+                   run_program)
 from lmsql import interp, syntax
 from lmsql.syntax import (MAX_DEPTH, Aggregate, Binary, ColumnRef, Literal, ScalarSubquery,
-                          children, map_children)
+                          children, map_children, tokenize)
 
 from conftest import make_table
 from corpus import EXEMPLAR_PROGRAMS
@@ -116,14 +116,10 @@ def test_parse_like_needs_string_literal():
         parse("SELECT a FROM w WHERE a LIKE b")
 
 
-def test_plain_grammar_rejects_calls_only():
-    text = 'SELECT f("q"; col) FROM w'
-    parse(text)
-    with pytest.raises(ParseError):
-        parse(text, allow_api_calls=False)
-    # f without parens is an ordinary column in both modes
-    both = "SELECT f FROM w"
-    assert parse(both, allow_api_calls=False).root == parse(both).root
+def test_bare_f_is_a_column_not_a_call():
+    assert len(parse('SELECT f("q"; col) FROM w').calls) == 1
+    # f without parens is an ordinary column
+    assert parse("SELECT f FROM w").calls == ()
 
 
 def test_parser_is_total_on_junk():

@@ -326,3 +326,39 @@ def test_json_ingest_matches_two_pass(grid, title):
     outcome = ingest_outcome(lambda: table_from_json(obj))
     assert outcome == ingest_outcome(lambda: old_table_from_json(obj), two_pass=True)
     event_kinds(outcome)
+
+
+# ---- hostile JSON tables ----
+# A dataset line may carry any JSON as its table: every header entry and
+# cell of every JSON type, integers beyond float range, nesting.
+
+big_integers = st.integers(10**308, 10**400).flatmap(lambda n: st.sampled_from([n, -n]))
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), big_integers,
+                         st.floats(), st.text(max_size=6))
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def json_tables(draw):
+    header = draw(st.lists(st.one_of(json_scalars, json_scalars, json_values), max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        header += header  # repeated headers, of mixed types
+    row = st.lists(json_values, min_size=len(header), max_size=len(header))
+    obj = {"header": header, "rows": draw(st.lists(row, max_size=4))}
+    if draw(st.booleans()):
+        obj["title"] = draw(json_values)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=json_tables())
+def test_any_json_table_is_a_table_or_an_lmsql_error(obj):
+    try:
+        t = normalize(table_from_json(obj))
+    except LmSqlError as e:
+        event(type(e).__name__)
+        return
+    assert isinstance(t, Table)
+    event("table")

@@ -10,10 +10,10 @@ CALL_PROGRAM = parse('SELECT f("q"; a) FROM w')
 
 
 def cand(index, values, has_api_call=False, failed=False):
-    if failed:
-        return Candidate(index, PLAIN_PROGRAM, EvalError("boom"), has_api_call)
     program = CALL_PROGRAM if has_api_call else PLAIN_PROGRAM
-    return Candidate(index, program, Answer(tuple(values)), has_api_call)
+    if failed:
+        return Candidate(index, program, EvalError("boom"))
+    return Candidate(index, program, Answer(tuple(values)))
 
 
 def tally_by_key(report):
@@ -48,6 +48,11 @@ def test_program_biased_ten_to_one():
     assert tally_by_key(report) == {"x": 20, "y": 5}
 
 
+def test_has_api_call_comes_from_the_program():
+    assert [c.has_api_call for c in (cand(0, [], has_api_call=True), cand(1, []))] == [True, False]
+    assert not Candidate(2, ValueError("syntax"), None).has_api_call
+
+
 def test_plain_tie_goes_to_lowest_index():
     answer, _ = vote([cand(0, ["a"]), cand(1, ["b"]), cand(2, ["c"])], "plain")
     assert answer.display() == ["a"]
@@ -59,7 +64,7 @@ def test_erroring_candidates_never_change_tallies():
     good = [cand(0, ["a"]), cand(1, ["b"]), cand(2, ["a"])]
     _, clean = vote(good, "plain")
     _, noisy = vote(good + [cand(3, [], failed=True),
-                            Candidate(4, ValueError("syntax"), None, False)], "plain")
+                            Candidate(4, ValueError("syntax"), None)], "plain")
     assert tally_by_key(clean) == tally_by_key(noisy)
     assert noisy.excluded == (3, 4)
 
