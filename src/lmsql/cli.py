@@ -169,34 +169,59 @@ def make_backend(cfg: RunConfig) -> Backend:
     return with_cache(backend, cfg.cache_dir, seed=cfg.seed)
 
 
-def _load_pool(cfg: RunConfig):
-    if cfg.exec_demo_pool:
-        return load_exec_demos(cfg.exec_demo_pool)
-    return default_exec_demos()
+@dataclass
+class Run:
+    """What one command's examples share, set up by start_run: the checked
+    config, the backend with the run's cache, the parse exemplars, the
+    execution-demo pool and the normalized tables loaded so far, by path."""
+    cfg: RunConfig
+    backend: Optional[Backend] = None
+    exemplars: list = field(default_factory=list)
+    pool: Optional[list] = None
+    tables: dict = field(default_factory=dict)
+
+    def table(self, path: str) -> Table:
+        """The normalized table at path, loaded once per Run, on the main thread."""
+        if path not in self.tables:
+            self.tables[path] = normalize(load_table(path))
+        return self.tables[path]
 
 
-def _load_normalized_table(path: str) -> Table:
-    return normalize(load_table(path))
+def start_run(args) -> Run:
+    """The command's Run, loaded in this order: the config; the backend, for
+    `parse` and `run`; the command's table; the exemplars, for `parse` and
+    `run`; the demo pool, for all but `parse`."""
+    cfg = load_run_config(args.config, args)
+    command, table = args.command, getattr(args, "table", None)
+    if command == "run" and not cfg.dataset:
+        raise ConfigError("run needs a dataset (positional or config)")
+    parses = command in ("parse", "run")
+    run = Run(cfg, make_backend(cfg) if parses else None)
+    if table:
+        run.table(table)
+    if parses:
+        run.exemplars = load_exemplars(cfg.exemplars) if cfg.exemplars else []
+        if not run.exemplars:
+            raise ConfigError(f"{command} needs an exemplar file (--exemplars or config)")
+    if command != "parse":
+        run.pool = load_exec_demos(cfg.exec_demo_pool) if cfg.exec_demo_pool else default_exec_demos()
+    return run
 
 
-def _table_for_example(example: dict, dataset_dir: Path, tables: dict,
-                       where: str) -> Table:
-    """The example's normalized table. A table_path is loaded once per
-    `tables`, which maps each path resolved against dataset_dir to its Table;
-    an inline table is built anew each time."""
+def _table_for_example(example: dict, run: Run, where: str) -> Table:
+    """The example's normalized table. A table_path, relative to the
+    dataset, is loaded once per Run; an inline table is built anew each time."""
     if "table" in example:
         return normalize(table_from_json(example["table"]))
     if "table_path" in example:
         path, = text_fields(example, ("table_path",), where)
-        key = dataset_dir / path
-        if key not in tables:
-            tables[key] = _load_normalized_table(str(key))
-        return tables[key]
+        return run.table(str(Path(run.cfg.dataset).parent / path))
     raise FormatError(f"{where} has neither table nor table_path")
 
 
 def _read_jsonl(path: str) -> list:
-    """(where, value) for each non-blank line, where naming the file and line."""
+    """(where, value) for each non-blank line, where naming the file and
+    line. The value of a line that is not JSON is its FormatError."""
     p = Path(path)
     records = []
     for i, line in enumerate(read_text(p).splitlines()):
@@ -206,7 +231,7 @@ def _read_jsonl(path: str) -> list:
         try:
             records.append((where, json.loads(line)))
         except ValueError as e:  # bad JSON, or an integer too long to convert
-            raise FormatError(f"{where}: {e}")
+            records.append((where, FormatError(f"{where}: {e}")))
     return records
 
 
@@ -216,6 +241,8 @@ def _eval_records(path: str, answer_key: str, with_question: bool = False) -> di
     id given twice is an error, since only one of its answers could count."""
     out, first_seen = {}, {}
     for where, r in _read_jsonl(path):
+        if isinstance(r, FormatError):
+            raise r
         if not isinstance(r, dict):
             raise FormatError(f"{where}: expected an object, got {type(r).__name__}")
         rid, values = r.get("id"), r.get(answer_key, [])
@@ -237,15 +264,10 @@ def _eval_records(path: str, answer_key: str, with_question: bool = False) -> di
 # ---- commands ----
 
 def cmd_parse(args) -> int:
-    cfg = load_run_config(args.config, args)
-    backend = make_backend(cfg)
-    table = _load_normalized_table(args.table)
-    exemplars = load_exemplars(cfg.exemplars) if cfg.exemplars else []
-    if not exemplars:
-        raise ConfigError("parsing needs an exemplar file (--exemplars or config)")
-    plan = plan_parse_prompt(cfg.instruction, exemplars, table,
-                             Path(args.table).stem, args.question, cfg.generation)
-    texts = sample_candidates(backend, plan.text, cfg.generation)
+    run = start_run(args)
+    plan = plan_parse_prompt(run.cfg.instruction, run.exemplars, run.table(args.table),
+                             Path(args.table).stem, args.question, run.cfg.generation)
+    texts = sample_candidates(run.backend, plan.text, run.cfg.generation)
     programs = parse_candidates(texts)
     for i, (text, prog) in enumerate(zip(texts, programs)):
         status = "ok" if isinstance(prog, Program) else f"syntax-error: {prog}"
@@ -254,11 +276,11 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _execute_candidate(index: int, item, table: Table, backend: Backend, pool) -> Candidate:
+def _execute_candidate(index: int, item, table: Table, run: Run) -> Candidate:
     if not isinstance(item, Program):
         return Candidate(index, item, None)
     try:
-        trace = run_program(item, table, backend, pool)
+        trace = run_program(item, table, run.backend, run.pool)
     except LmSqlError as e:
         # without its traceback, whose frames hold the table, the worker
         # thread's work item and through it this very Candidate
@@ -283,40 +305,45 @@ def _print_trace(trace: ExecutionTrace) -> None:
     print(f"--- rewritten: {print_program(trace.rewritten)}")
 
 
+def _execute(run: Run, text: str, table_path: str, trace: bool) -> list:
+    """The displayed answer of one `exec` or `repl` program, after its trace
+    if asked. The backend is built for the first program with model calls,
+    so a call-free program needs none configured."""
+    program = parse(text)
+    if run.backend is None and program.calls:
+        run.backend = make_backend(run.cfg)
+    result = run_program(program, run.table(table_path), run.backend or NullBackend(), run.pool)
+    if trace:
+        _print_trace(result)
+    return result.answer.display()
+
+
 def cmd_exec(args) -> int:
-    cfg = load_run_config(args.config, args)
-    program = parse(args.program)
-    backend = make_backend(cfg) if program.calls else NullBackend()
-    table = _load_normalized_table(args.table)
-    pool = _load_pool(cfg)
-    trace = run_program(program, table, backend, pool)
-    if args.trace:
-        _print_trace(trace)
-    print("\t".join(trace.answer.display()))
+    run = start_run(args)
+    print("\t".join(_execute(run, args.program, args.table, args.trace)))
     return EXIT_OK
 
 
-def _run_example(example: dict, dataset_dir: Path, tables: dict, cfg: RunConfig,
-                 backend: Backend, exemplars: list, pool, executor: Executor) -> dict:
+def _run_example(example: dict, run: Run, executor: Executor) -> dict:
     """Parse, execute and vote one example. Each distinct candidate text is
     parsed and run once: the backend answers identical requests identically
     within a run, so its duplicates share the outcome and keep their own
-    index. `tables` is the run's memo of loaded tables (see _table_for_example)."""
+    index."""
     record = {"id": example.get("id") if isinstance(example, dict) else None}
     where = f"example {record['id']!r}"
+    cfg = run.cfg
     try:
         question, = text_fields(example, ("question",), where)
-        table = _table_for_example(example, dataset_dir, tables, where)
-        plan = plan_parse_prompt(cfg.instruction, exemplars, table,
+        table = _table_for_example(example, run, where)
+        plan = plan_parse_prompt(cfg.instruction, run.exemplars, table,
                                  example.get("title", "w"), question, cfg.generation)
-        texts = sample_candidates(backend, plan.text, cfg.generation)
+        texts = sample_candidates(run.backend, plan.text, cfg.generation)
         first = {}  # candidate text -> index of its first occurrence
         for i, text in enumerate(texts):
             first.setdefault(text, i)
         programs = dict(zip(first, parse_candidates(list(first))))
         outcomes = dict(zip(first, executor.map(
-            lambda text: _execute_candidate(first[text], programs[text], table, backend, pool),
-            first)))
+            lambda text: _execute_candidate(first[text], programs[text], table, run), first)))
         cands = [replace(outcomes[text], index=i) for i, text in enumerate(texts)]
         answer, report = vote(cands, cfg.vote_strategy)
         record["candidates"] = [
@@ -338,30 +365,20 @@ def _run_example(example: dict, dataset_dir: Path, tables: dict, cfg: RunConfig,
 
 
 def cmd_run(args) -> int:
-    cfg = load_run_config(args.config, args)
-    if not cfg.dataset:
-        raise ConfigError("run needs a dataset (positional or config)")
-    backend = make_backend(cfg)
-    exemplars = load_exemplars(cfg.exemplars) if cfg.exemplars else []
-    if not exemplars:
-        raise ConfigError("run needs an exemplar file")
-    pool = _load_pool(cfg)
-    examples = [example for _, example in _read_jsonl(cfg.dataset)]
-    dataset_dir = Path(cfg.dataset).parent
+    run = start_run(args)
+    lines = _read_jsonl(run.cfg.dataset)
     out_path = Path(args.output) if args.output else Path("results.jsonl")
-    # Tables are immutable and examples run one at a time; the planner fills
-    # a table's row-line cache from this, the main, thread only
-    tables: dict = {}
     try:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as executor, \
+        with ThreadPoolExecutor(max_workers=run.cfg.parallelism) as executor, \
                 out_path.open("w", encoding="utf-8") as fh:
-            for example in examples:
-                record = _run_example(example, dataset_dir, tables, cfg, backend,
-                                      exemplars, pool, executor)
+            for _, example in lines:
+                record = ({"id": None, "error": str(example), "final_answer": []}
+                          if isinstance(example, FormatError)
+                          else _run_example(example, run, executor))
                 fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
     except OSError as e:
         raise IoError(f"cannot write {out_path}: {e}")
-    print(f"wrote {len(examples)} records to {out_path}")
+    print(f"wrote {len(lines)} records to {out_path}")
     return EXIT_OK
 
 
@@ -400,10 +417,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_repl(args) -> int:
-    cfg = load_run_config(args.config, args)
-    table = _load_normalized_table(args.table)
-    pool = _load_pool(cfg)
-    backend = None  # built once, on the first line that has model calls
+    run = start_run(args)
+    table = run.table(args.table)
     print(f"table {args.table}: {table.row_count} rows, columns "
           f"{', '.join(table.column_names())}. Blank line or 'exit' quits.")
     while True:
@@ -414,13 +429,7 @@ def cmd_repl(args) -> int:
         if not line or line in ("exit", "quit"):
             break
         try:
-            program = parse(line)
-            if backend is None and program.calls:
-                backend = make_backend(cfg)
-            trace = run_program(program, table, backend or NullBackend(), pool)
-            if args.trace:
-                _print_trace(trace)
-            print("\t".join(trace.answer.display()) or "<empty>")
+            print("\t".join(_execute(run, line, args.table, args.trace)) or "<empty>")
         except LmSqlError as e:
             print(f"error: {e}", file=sys.stderr)
     return EXIT_OK

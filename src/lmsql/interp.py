@@ -67,11 +67,9 @@ class Resolution:
 
 
 def _fields(line: str) -> list:
-    if "\t" in line:
-        parts = line.split("\t")
-    else:
-        parts = re.split(r"\s{2,}", line)
-    return [p.strip() for p in parts if p.strip() != ""]
+    if "\t" in line:  # empty fields kept, so that a blank answer reads as blank
+        return [p.strip() for p in line.split("\t")]
+    return [p.strip() for p in re.split(r"\s{2,}", line) if p.strip()]
 
 
 # ---- prompts ----
@@ -120,8 +118,8 @@ _ROW_ID_RE = re.compile(r"^(\d+)\s*[.,]?$")
 def parse_map_response(text: str, expected_row_ids: list, question: str) -> Column:
     """Parse the emitted sub-table and align it by row_id.
 
-    Missing row ids become null; duplicates keep the last occurrence; columns
-    between row_id and the final answer column are ignored.
+    Missing row ids and blank answers become null; duplicates keep the last
+    occurrence; columns between row_id and the final answer column are ignored.
     """
     body = text
     start = text.find("/*")
@@ -136,7 +134,7 @@ def parse_map_response(text: str, expected_row_ids: list, question: str) -> Colu
         m = _ROW_ID_RE.match(fields[0])
         if not m:
             continue  # header or commentary line
-        answers[int(m.group(1))] = fields[-1].lower()
+        answers[int(m.group(1))] = fields[-1].lower() or None
     if not answers:
         raise MalformedResponse(
             f'no parseable rows in map response for "{question}": {text[:200]!r}')
@@ -243,6 +241,8 @@ def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list,
         return backend.complete(CompletionRequest(prompt, max_output_tokens=MAX_OUTPUT_TOKENS))[0]
 
     name = _generated_name(t, ordinal, call.question)
+    if call.role == "map" and not t.row_count:  # no row to ask about: no request
+        return Resolution(call, Column(name, "text", ()), name, "", "")
     if call.role == "map":
         demos = retrieve_exec_demos(call.question, pool, NUM_DEMOS)
         prompt = build_map_prompt(call.question, sub, demos)

@@ -173,16 +173,14 @@ class Table:
 # ---- ingestion ----
 
 def _table_from_grid(title: str, header: list, grid: list) -> Table:
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1},
-                       key=lambda h: (type(h).__name__, h))  # JSON headers mix types
-        raise FormatError(f"duplicate headers: {dupes}")
+    names = [str(h) for h in header]  # the column names; JSON headers mix types
+    if len(set(names)) != len(names):
+        raise FormatError(f"duplicate headers: {sorted({n for n in names if names.count(n) > 1})}")
     for i, row in enumerate(grid):
         if len(row) != len(header):
             raise FormatError(f"ragged row {i}: {len(row)} fields, expected {len(header)}")
     columns = zip(*grid) if grid else [()] * len(header)
-    return Table(title, tuple(Column(str(name), "text", cells)
-                              for name, cells in zip(header, columns)))
+    return Table(title, tuple(Column(name, "text", cells) for name, cells in zip(names, columns)))
 
 
 def _ingest_cell(v) -> Cell:
@@ -309,14 +307,12 @@ def _infer_cells(cells: Iterable[Cell]):
 
 
 def normalize(t: Table) -> Table:
-    """Lowercase text, add a row_id column, infer types and sanitize names.
-
-    Idempotent: a normalized table maps to itself.
-    """
-    n = t.row_count
-    used: set = set()
+    """Lowercase text, infer types, sanitize names and put the row ids 0..n-1
+    first, as row_id. A column of t that is named row_id is renamed like any
+    other repeated name."""
+    used = {ROW_ID}
     counts: dict = {}
-    new_cols = []
+    new_cols = [Column(ROW_ID, "int", tuple(float(i) for i in range(t.row_count)))]
     for col in t.columns:
         base = sanitize_name(col.name)
         name = base
@@ -326,11 +322,6 @@ def normalize(t: Table) -> Table:
         used.add(name)
         kind, cells = _infer_cells(col.cells)
         new_cols.append(Column(name, kind, cells))
-    if not (new_cols and new_cols[0].name == ROW_ID):
-        for i, c in enumerate(new_cols):
-            if c.name == ROW_ID:  # stray row_id not in front: keep but rename
-                new_cols[i] = Column(f"{ROW_ID}_orig", c.declared_type, c.cells)
-        new_cols.insert(0, Column(ROW_ID, "int", tuple(float(i) for i in range(n))))
     return Table(t.title, tuple(new_cols))
 
 

@@ -236,7 +236,7 @@ def _run_one(programs, rules=()):
     cfg = RunConfig(generation=GenerationConfig(temperature=0.0, sampling_n=len(programs),
                                                 num_shots=0))
     with ThreadPoolExecutor(max_workers=2) as executor:
-        return cli._run_example(_example(), Path("."), {}, cfg, backend, [], None, executor)
+        return cli._run_example(_example(), cli.Run(cfg, backend), executor)
 
 
 def test_identical_candidates_execute_once(monkeypatch):
@@ -309,6 +309,47 @@ def test_budget_and_reply_cap_are_not_config_keys(tmp_path, capsys, key):
     assert err == f"lmsql: unknown generation keys: [{key!r}]\n"
 
 
+CUSTOM_DEMO = {"title": "custom", "column_block": "row_id\tanimal\n0\tzebra",
+               "question": "Is it striped?",
+               "answer_block": "row_id\tanimal\tIs it striped?\n0\tzebra\tyes"}
+
+
+def _custom_pool_files(tmp_path) -> tuple:
+    """A pool file of one demo, and fig1's mock with each map rule made to
+    answer only a map prompt that shows that demo."""
+    pool, mock = tmp_path / "pool.json", tmp_path / "mock.json"
+    pool.write_text(json.dumps([CUSTOM_DEMO]))
+    rules = json.loads((FIG1 / "mock.json").read_text())
+    for rule in rules:
+        if "row by row" in rule["prompt_pattern"]:
+            rule["prompt_pattern"] = (r'Q: Answer question "Is it striped\?" row by row\..*'
+                                      + rule["prompt_pattern"])
+    mock.write_text(json.dumps(rules))
+    return pool, mock
+
+
+def test_exec_demo_pool_reaches_the_map_prompt(tmp_path, capsys):
+    pool, mock = _custom_pool_files(tmp_path)
+    program = json.loads(mock.read_text())[0]["responses"][0]
+    code, out, err = run_cli(capsys, "exec", program, SHIRTS, "--backend", f"mock:{mock}",
+                             "--demo-pool", str(pool))
+    assert (code, out, err) == (0, "linen shirt, pure cotton\n", "")
+
+
+def test_run_exec_demo_pool_reaches_the_map_prompt(tmp_path, capsys):
+    pool, mock = _custom_pool_files(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_fig1_config(backend={"mock": str(mock)},
+                                              exec_demo_pool=str(pool))))
+    results = tmp_path / "results.jsonl"
+    code, _, _ = run_cli(capsys, "run", str(FIG1 / "dataset.jsonl"), "--config", str(config),
+                         "-o", str(results))
+    assert code == 0
+    record = json.loads(results.read_text())
+    assert [c["error"] for c in record["candidates"]] == [None] * 3
+    assert record["final_answer"] == ["linen shirt, pure cotton"]
+
+
 POOL_ENTRY = {"title": "t", "column_block": "a", "question": "q?", "answer_block": "a\tb"}
 
 
@@ -361,25 +402,30 @@ def test_bad_example_fails_only_its_record(tmp_path, capsys, bad, error):
 
 def test_hostile_inline_tables_fail_only_their_records(tmp_path, capsys):
     """A table cell beyond float range is null; a header entry that is a
-    JSON object or array is a FormatError of its record alone."""
+    JSON object or array, and a line that is not JSON, are each a
+    FormatError of their record alone."""
     good = json.loads((FIG1 / "dataset.jsonl").read_text())
     good["table_path"] = SHIRTS
     big = {"id": "big", "question": "how many rows?", "table": {"header": ["a"], "rows": [[10**400]]}}
     nested = {"id": "nested", "question": "how many rows?",
               "table": {"header": [{"x": 1}], "rows": [[1]]}}
+    not_json = '{"id": "cut", "question": '
     outs = []
-    for name, examples in (("mixed", (big, good, nested)), ("alone", (good,))):
+    for name, examples in (("mixed", (big, good, nested, not_json)), ("alone", (good,))):
         dataset = tmp_path / f"{name}.jsonl"
-        dataset.write_text("".join(json.dumps(e) + "\n" for e in examples))
+        dataset.write_text("".join((e if isinstance(e, str) else json.dumps(e)) + "\n"
+                                   for e in examples))
         results = tmp_path / f"{name}-results.jsonl"
         code, _, _ = run_cli(capsys, "run", str(dataset), "--config", str(FIG1 / "config.json"),
                              "-o", str(results))
         assert code == 0
         outs.append(results.read_text().splitlines())
     mixed, alone = outs
-    assert [json.loads(line)["id"] for line in mixed] == ["big", good["id"], "nested"]
+    assert [json.loads(line)["id"] for line in mixed] == ["big", good["id"], "nested", None]
     assert mixed[1] == alone[0]
     assert "header entries must be strings" in json.loads(mixed[2])["error"]
+    cut = json.loads(mixed[3])
+    assert cut["error"].startswith("mixed.jsonl line 4: ") and cut["final_answer"] == []
 
 
 BENCH = fixture_path("bench")
@@ -519,12 +565,19 @@ def test_non_utf8_input_is_a_format_error(tmp_path, capsys, command):
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text limit")
 def test_integer_too_long_to_read_is_a_format_error(tmp_path, capsys):
     """json.loads refuses an integer of more than 4300 digits with a plain
-    ValueError, which is not a JSONDecodeError."""
+    ValueError, which is not a JSONDecodeError. `run` writes that line's
+    error record and goes on; `eval` refuses the whole file."""
     dataset = tmp_path / "huge.jsonl"
     dataset.write_text('{"id": "q", "question": "how many rows?", '
                        '"table": {"header": ["a"], "rows": [[1' + "0" * 5000 + ']]}}\n')
-    code, _, err = run_cli(capsys, "run", str(dataset), "--config", str(FIG1 / "config.json"),
-                           "-o", str(tmp_path / "results.jsonl"))
+    results = tmp_path / "results.jsonl"
+    code, _, _ = run_cli(capsys, "run", str(dataset), "--config", str(FIG1 / "config.json"),
+                         "-o", str(results))
+    assert code == 0
+    record, = (json.loads(line) for line in results.read_text().splitlines())
+    assert record["id"] is None and record["final_answer"] == []
+    assert record["error"].startswith("huge.jsonl line 1: ")
+    code, _, err = run_cli(capsys, "eval", str(results), str(dataset))
     assert code == 3
     assert err.startswith("lmsql: huge.jsonl line 1: ") and err.count("\n") == 1
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -20,8 +21,9 @@ from corpus import EXEMPLAR_PROGRAMS
 
 BENCH = fixture_path("bench")
 EXAMPLES = [json.loads(line) for line in (BENCH / "dataset.jsonl").read_text().splitlines()]
-EXEMPLARS = load_exemplars(BENCH / "exemplars.json")
-TABLES: dict = {}  # the run's memo of loaded tables, shared as in a run
+# set-up shared by every example, as in a run; its memo of loaded tables too
+RUN = cli.Run(RunConfig(dataset=str(BENCH / "dataset.jsonl")),
+              exemplars=load_exemplars(BENCH / "exemplars.json"), pool=default_exec_demos())
 BENCH_PROGRAMS = sorted({text for rule in json.loads((BENCH / "mock.json").read_text())
                          if rule["prompt_pattern"].endswith("Binder: $")
                          for text in rule["responses"]})
@@ -51,11 +53,10 @@ def run_example(example: dict, candidates: list, replies: list) -> dict:
     """The record `lmsql run` writes for example when the model samples
     candidates and answers its calls with replies."""
     backend = with_cache(HostileBackend(candidates, replies), None)
-    cfg = RunConfig(generation=GenerationConfig(temperature=0.0, sampling_n=len(candidates),
-                                                num_shots=2))
+    cfg = replace(RUN.cfg, generation=GenerationConfig(temperature=0.0,
+                                                       sampling_n=len(candidates), num_shots=2))
     with ThreadPoolExecutor(max_workers=1) as executor:
-        return cli._run_example(example, BENCH, TABLES, cfg, backend, EXEMPLARS,
-                                default_exec_demos(), executor)
+        return cli._run_example(example, replace(RUN, cfg=cfg, backend=backend), executor)
 
 
 # ---- drawn model output ----
@@ -132,7 +133,7 @@ VAL_REPLY = st.sampled_from(["", " ", "2", "2.0", "2.5", " 3 ", "1e3", "1e400", 
 @st.composite
 def hostile_case(draw):
     example = draw(st.sampled_from(EXAMPLES))
-    table = cli._table_for_example(example, BENCH, TABLES, "bench")
+    table = cli._table_for_example(example, RUN, "bench")
     candidates = draw(st.lists(candidates_for(table.column_names()), min_size=1, max_size=4))
     replies = draw(st.lists(map_reply(table.row_count) | VAL_REPLY, min_size=1, max_size=4))
     return example, candidates, replies
@@ -158,7 +159,7 @@ CITIES = next(e for e in EXAMPLES if e["table_path"] == "tables/cities.csv")
 
 def test_missing_row_ids_are_null_and_a_repeated_one_keeps_its_last_line():
     reply = ("/*\nrow_id\tcity\tbig\n0\ttokyo\tyes\n2\tshanghai\tno\n"
-             "2\tshanghai\tan extra column\tmaybe\n*/")
+             "2\tshanghai\tan extra column\tmaybe\n3\tsao paulo\t\n*/")  # 3: a blank answer
     record = run_example(CITIES, ['SELECT f("Is it big?"; city) FROM w ORDER BY row_id LIMIT 4'],
                          [reply])
     assert record["candidates"][0]["answer"] == ["yes", "none", "maybe", "none"]

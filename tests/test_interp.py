@@ -172,6 +172,14 @@ def test_resolve_map_call():
     assert req == CompletionRequest(req.prompt, 0.0, 1.0, 1024, 1, ("\n\n",))
 
 
+def test_a_map_over_no_rows_is_an_empty_column_without_a_request():
+    t = make_table("w", ["city", "size"], [])  # an inline table with a header and no rows
+    program = parse('SELECT city, f("Is it big?"; city) FROM w WHERE f("Is it old?"; size) = \'yes\'')
+    trace = run_program(program, t, NullBackend(), pool=[])  # NullBackend fails any request
+    assert trace.answer == Answer(())
+    assert [res.outcome.cells for res in trace.resolutions] == [(), ()]
+
+
 def test_resolve_val_call(hometown):
     p, calls = tagged_calls('SELECT f_val("The most formal?"; hometown)')
     mock = MockBackend()
@@ -286,7 +294,8 @@ def test_call_free_candidate_collects_its_calls_once(text, monkeypatch):
     collect = syntax._collect_calls
     monkeypatch.setattr(syntax, "_collect_calls", counting)
     program = parse(text)
-    cand = cli._execute_candidate(0, program, corpus_table(), NullBackend(), [])
+    cand = cli._execute_candidate(0, program, corpus_table(),
+                                  cli.Run(cli.RunConfig(), NullBackend(), pool=[]))
     assert isinstance(cand.answer, Answer) and not cand.has_api_call
     assert len(collections) <= 1
     assert assign_roles(program) is program

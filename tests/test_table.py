@@ -10,9 +10,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import lmsql.table
-from lmsql import (DuplicateColumn, FormatError, IoError, LengthMismatch, LmSqlError,
-                   UnknownColumn, augment, linearize, load_table, normalize,
-                   project, table_from_json)
+from lmsql import (Backend, DuplicateColumn, FormatError, IoError, LengthMismatch, LmSqlError,
+                   UnknownColumn, augment, linearize, load_table, normalize, parse,
+                   project, run_program, table_from_json)
 from lmsql.table import (Column, Table, cell_to_text, parse_date_like, parse_number)
 
 from conftest import fixture_path, make_table
@@ -80,8 +80,25 @@ def test_normalize_lowercases_and_adds_row_id():
     assert t.column("row_id").cells == (0.0, 1.0)
 
 
-def test_normalize_idempotent(lachlan):
-    assert normalize(lachlan) == lachlan
+class BigCityBackend(Backend):
+    """Answers a map prompt row by row from its query block: yes for tokyo, no otherwise."""
+
+    identity = "big-city"
+
+    def _complete(self, req) -> list:
+        block = req.prompt.rsplit("/*\n", 1)[1].split("\n*/")[0]
+        rows = block.splitlines()[1:]  # below the line of column names
+        return ["/*\n" + "\n".join(f"{r}\t{'yes' if r.endswith('tokyo') else 'no'}"
+                                    for r in rows) + "\n*/"]
+
+
+def test_a_row_id_column_of_the_table_is_renamed_and_not_used_as_row_ids():
+    t = make_table("w", ["row_id", "city"], [[0, "tokyo"], [0, "oslo"]])
+    assert t.column_names() == ["row_id", "row_id_2", "city"]
+    assert t.column("row_id").cells == (0.0, 1.0)
+    trace = run_program(parse('SELECT city, f("Is it big?"; city) FROM w'), t, BigCityBackend(),
+                        pool=[])
+    assert trace.answer.display() == ["tokyo", "yes", "oslo", "no"]
 
 
 def test_normalize_type_inference():
@@ -350,6 +367,17 @@ def json_tables(draw):
     if draw(st.booleans()):
         obj["title"] = draw(json_values)
     return obj
+
+
+@pytest.mark.parametrize("header, names", [([1, True], ["row_id", "c_1", "true"]),
+                                           ([1, "1"], None), ([None, "None"], None)])
+def test_json_header_repeats_are_checked_on_the_column_names(header, names):
+    obj = {"header": header, "rows": [[1, 2]]}
+    if names is None:
+        with pytest.raises(FormatError, match="duplicate headers"):
+            table_from_json(obj)
+    else:
+        assert normalize(table_from_json(obj)).column_names() == names
 
 
 @settings(max_examples=300, deadline=None)
