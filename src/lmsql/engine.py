@@ -13,12 +13,12 @@ import operator
 import re
 from dataclasses import dataclass
 from datetime import date
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import EvalError, UnknownColumn, UnsupportedFeature
 from .syntax import (Aggregate, Binary, ColumnRef, InList, IsNull, Literal,
                      Program, Query, ScalarSubquery, Star, Unary, aggregates)
-from .table import Cell, Table, cell_to_text, format_number, parse_date_like, parse_number
+from .table import Cell, Table, as_date, as_number, cell_to_text, format_number, parse_number
 
 
 EMPTY_KEY = "<empty>"
@@ -60,25 +60,17 @@ EMPTY_ANSWER = Answer(())
 
 # ---- value helpers ----
 
-def _coerce_number(v: Cell):
-    if isinstance(v, float):
-        return v
-    if isinstance(v, str):
-        return parse_number(v)
-    return None
-
-
 def _limit_count(value) -> int:
     """LIMIT's row count, from the program text or a value call's reply: as
     in sqlite, a number (numeric text counts) with no fractional part."""
-    n = _coerce_number(value)
+    n = as_number(value)
     if n is None or not n.is_integer():  # is_integer is False for inf
         raise EvalError(f"LIMIT needs an integer, got {value!r}")
     return int(n)
 
 
 def _truthy(v: Cell) -> bool:
-    n = v if isinstance(v, float) else _coerce_number(v)
+    n = v if isinstance(v, float) else as_number(v)
     return n is not None and n != 0
 
 
@@ -119,16 +111,14 @@ def _compare(left: Cell, right: Cell, compare) -> Cell:
 def _comparable_pair(left: Cell, right: Cell):
     """Coerce operands into a comparable pair, or None on type mismatch."""
     if isinstance(left, float) or isinstance(right, float):
-        a, b = _coerce_number(left), _coerce_number(right)
+        a, b = as_number(left), as_number(right)
         return None if a is None or b is None else (a, b)
     if isinstance(left, date) or isinstance(right, date):
-        a = left if isinstance(left, date) else parse_date_like(str(left))
-        b = right if isinstance(right, date) else parse_date_like(str(right))
+        a, b = as_date(left), as_date(right)
         return None if a is None or b is None else (a, b)
     return (str(left), str(right))
 
 
-@lru_cache(maxsize=256)
 def _like_regex(pattern: str):
     """A regex that fullmatches the texts LIKE pattern matches. A segment
     between two %s is matched atomically at its first occurrence, which is
@@ -174,7 +164,7 @@ def _finite(x: float) -> Cell:
     return x if math.isfinite(x) else None
 
 
-def _compile(expr, ctx: str, t: Table, subqueries: dict):
+def _compile(expr, ctx: str, t: Table):
     if isinstance(expr, Literal):
         value = expr.value
         return lambda _: value
@@ -192,13 +182,13 @@ def _compile(expr, ctx: str, t: Table, subqueries: dict):
     if isinstance(expr, Aggregate):
         if ctx != _GROUP:
             return _fails(EvalError, f"{expr.func} used outside an aggregate query")
-        return _compile_aggregate(expr, t, subqueries)
+        return _compile_aggregate(expr, t)
     if isinstance(expr, Star):
         return _fails(EvalError, "* is only valid as a select item or inside COUNT(*)")
     if isinstance(expr, ScalarSubquery):
-        return _compile_subquery(expr, t, subqueries)
+        return _compile_subquery(expr, t)
     if isinstance(expr, Unary):
-        operand = _compile(expr.operand, ctx, t, subqueries)
+        operand = _compile(expr.operand, ctx, t)
         if expr.op == "NOT":
             def negation(r):
                 v = operand(r)
@@ -206,24 +196,32 @@ def _compile(expr, ctx: str, t: Table, subqueries: dict):
             return negation
 
         def minus(r):
-            n = _coerce_number(operand(r))
+            n = as_number(operand(r))
             return None if n is None else _finite(-n)
         return minus
     if isinstance(expr, IsNull):
-        subject = _compile(expr.subject, ctx, t, subqueries)
+        subject = _compile(expr.subject, ctx, t)
         null, not_null = (0.0, 1.0) if expr.negated else (1.0, 0.0)
         return lambda r: null if subject(r) is None else not_null
     if isinstance(expr, InList):
-        return _compile_in(expr, ctx, t, subqueries)
+        return _compile_in(expr, ctx, t)
     if isinstance(expr, Binary):
-        return _compile_binary(expr, ctx, t, subqueries)
+        return _compile_binary(expr, ctx, t)
     return _fails(UnsupportedFeature, f"cannot evaluate {type(expr).__name__}")
 
 
-def _compile_binary(expr: Binary, ctx: str, t: Table, subqueries: dict):
+def _compile_binary(expr: Binary, ctx: str, t: Table):
     op = expr.op
-    left = _compile(expr.left, ctx, t, subqueries)
-    right = _compile(expr.right, ctx, t, subqueries)
+    left = _compile(expr.left, ctx, t)
+    if op in ("LIKE", "NOT LIKE"):  # the parser admits only a string literal pattern
+        match = _like_regex(expr.right.value).fullmatch
+        hit, miss = (0.0, 1.0) if op == "NOT LIKE" else (1.0, 0.0)
+
+        def like(r):
+            v = left(r)
+            return None if v is None else hit if match(cell_to_text(v)) else miss
+        return like
+    right = _compile(expr.right, ctx, t)
     if op in ("AND", "OR"):
         decides = op == "OR"  # the operand truth that decides the result alone
         settled, otherwise = (1.0, 0.0) if decides else (0.0, 1.0)
@@ -240,21 +238,12 @@ def _compile_binary(expr: Binary, ctx: str, t: Table, subqueries: dict):
     if op in _COMPARISONS:
         compare = _COMPARISONS[op]
         return lambda r: _compare(left(r), right(r), compare)
-    if op in ("LIKE", "NOT LIKE"):
-        hit, miss = (0.0, 1.0) if op == "NOT LIKE" else (1.0, 0.0)
-
-        def like(r):
-            v, pattern = left(r), right(r)
-            if v is None or pattern is None:
-                return None
-            return hit if _like_regex(str(pattern)).fullmatch(cell_to_text(v)) else miss
-        return like
     if op not in _ARITHMETIC:
         return _fails(UnsupportedFeature, f"operator {op!r}")
     apply, divides = _ARITHMETIC[op], op in ("/", "%")
 
     def arithmetic(r):
-        a, b = _coerce_number(left(r)), _coerce_number(right(r))
+        a, b = as_number(left(r)), as_number(right(r))
         if a is None or b is None or (divides and b == 0):
             return None
         try:
@@ -264,9 +253,9 @@ def _compile_binary(expr: Binary, ctx: str, t: Table, subqueries: dict):
     return arithmetic
 
 
-def _compile_in(expr: InList, ctx: str, t: Table, subqueries: dict):
-    subject = _compile(expr.subject, ctx, t, subqueries)
-    items = [_compile(item, ctx, t, subqueries) for item in expr.items]
+def _compile_in(expr: InList, ctx: str, t: Table):
+    subject = _compile(expr.subject, ctx, t)
+    items = [_compile(item, ctx, t) for item in expr.items]
     hit, miss = (0.0, 1.0) if expr.negated else (1.0, 0.0)
 
     def in_list(r):
@@ -283,11 +272,11 @@ def _compile_in(expr: InList, ctx: str, t: Table, subqueries: dict):
     return in_list
 
 
-def _compile_aggregate(agg: Aggregate, t: Table, subqueries: dict):
+def _compile_aggregate(agg: Aggregate, t: Table):
     """The aggregate over a group's rows; its argument is read per row."""
     if isinstance(agg.arg, Star):
         return lambda g: float(len(g[0]))
-    arg = _compile(agg.arg, _ROW, t, subqueries)
+    arg = _compile(agg.arg, _ROW, t)
     func, distinct = agg.func, agg.distinct
 
     def aggregate(g):
@@ -300,7 +289,7 @@ def _compile_aggregate(agg: Aggregate, t: Table, subqueries: dict):
         if func == "COUNT":
             return float(len(present))
         if func in ("SUM", "AVG"):
-            nums = [n for n in map(_coerce_number, present) if n is not None]
+            nums = [n for n in map(as_number, present) if n is not None]
             if not nums:
                 return None
             try:
@@ -314,16 +303,19 @@ def _compile_aggregate(agg: Aggregate, t: Table, subqueries: dict):
     return aggregate
 
 
-def _compile_subquery(expr: ScalarSubquery, t: Table, subqueries: dict):
-    """The subquery's value, computed at its first use in the execute_sql
-    call: it cannot refer to the outer row, so its value is the same for
-    every row. Node identity is a sound key while the program is run."""
-    key = id(expr)
+def _compile_subquery(expr: ScalarSubquery, t: Table):
+    """The subquery's value, computed at the closure's first use and kept by
+    it: the subquery cannot refer to the outer row, so its value is the same
+    for every row. The argument of a single MIN/MAX is compiled twice, for
+    the representative row and for the aggregate, so a subquery inside it
+    may run twice; both runs give the same value or raise the same error,
+    and the representative's runs first."""
+    value = []
 
     def subquery(_):
-        if key not in subqueries:
-            subqueries[key] = _scalar(_exec_query(expr.query, t, subqueries))
-        return subqueries[key]
+        if not value:
+            value.append(_scalar(_exec_query(expr.query, t)))
+        return value[0]
     return subquery
 
 
@@ -339,13 +331,13 @@ def _scalar(rows: list) -> Cell:
 
 # ---- query execution ----
 
-def _compile_rep(aggs: list, t: Table, subqueries: dict):
+def _compile_rep(aggs: list, t: Table):
     """Representative row for bare columns in an aggregate query: with a single
     MIN/MAX select aggregate, the first extremum row; otherwise the first row."""
     if not (len(aggs) == 1 and aggs[0].func in ("MIN", "MAX")
             and not isinstance(aggs[0].arg, Star)):
         return lambda indices: indices[0] if indices else None
-    arg = _compile(aggs[0].arg, _ROW, t, subqueries)
+    arg = _compile(aggs[0].arg, _ROW, t)
     better = operator.lt if aggs[0].func == "MIN" else operator.gt
 
     def extremum(indices):
@@ -358,17 +350,17 @@ def _compile_rep(aggs: list, t: Table, subqueries: dict):
     return extremum
 
 
-def _compile_entry(q: Query, ctx: str, t: Table, subqueries: dict):
+def _compile_entry(q: Query, ctx: str, t: Table):
     """The closure giving (projected row, [order key cells]) of a row or group."""
     readers = []
     for item in q.select_items:
         if not isinstance(item, Star):
-            readers.append(_compile(item, ctx, t, subqueries))
+            readers.append(_compile(item, ctx, t))
         elif ctx == _ROW:
             readers.extend(t.column(c).cells.__getitem__ for c in t.column_names())
         else:
             readers.append(_fails(EvalError, "* needs a plain row context"))
-    keys = [_compile(o.expr, ctx, t, subqueries) for o in q.order_by]
+    keys = [_compile(o.expr, ctx, t) for o in q.order_by]
     return lambda r: (tuple([read(r) for read in readers]), [key(r) for key in keys])
 
 
@@ -382,13 +374,13 @@ def _order_rows(entries: list, q: Query):
     return entries
 
 
-def _exec_query(q: Query, t: Table, subqueries: dict) -> list:
+def _exec_query(q: Query, t: Table) -> list:
     if q.from_table is None:
-        entries = [_compile_entry(q, _TOP, t, subqueries)(None)]
+        entries = [_compile_entry(q, _TOP, t)(None)]
     else:
         indices = range(t.row_count)
         if q.where is not None:
-            where = _compile(q.where, _ROW, t, subqueries)
+            where = _compile(q.where, _ROW, t)
             indices = [i for i in indices if _truthy(where(i))]
         select_aggs = [a for e in q.select_items for a in aggregates(e)]
         is_aggregate = (
@@ -398,27 +390,23 @@ def _exec_query(q: Query, t: Table, subqueries: dict) -> list:
             or any(aggregates(o.expr) for o in q.order_by)
         )
         if is_aggregate:
-            groups = _group(q, t, subqueries, indices)
-            rep = _compile_rep(select_aggs, t, subqueries)
-            having = (_compile(q.having, _GROUP, t, subqueries) if q.having is not None
+            groups = _group(q, t, indices)
+            rep = _compile_rep(select_aggs, t)
+            having = (_compile(q.having, _GROUP, t) if q.having is not None
                       else lambda _: 1.0)
-            entry = _compile_entry(q, _GROUP, t, subqueries)
+            entry = _compile_entry(q, _GROUP, t)
             entries = []
             for g_indices in groups:
                 g = (g_indices, rep(g_indices))
                 if _truthy(having(g)):
                     entries.append(entry(g))
         else:
-            entries = list(map(_compile_entry(q, _ROW, t, subqueries), indices))
-    if q.distinct:
-        seen = set()
-        kept = []
+            entries = list(map(_compile_entry(q, _ROW, t), indices))
+    if q.distinct:  # the first of each equal row
+        first: dict = {}
         for e in entries:
-            k = tuple(_group_key(v) for v in e[0])
-            if k not in seen:
-                seen.add(k)
-                kept.append(e)
-        entries = kept
+            first.setdefault(tuple([_group_key(v) for v in e[0]]), e)
+        entries = list(first.values())
     if q.order_by:
         entries = _order_rows(entries, q)
     rows = [e[0] for e in entries]
@@ -429,10 +417,10 @@ def _exec_query(q: Query, t: Table, subqueries: dict) -> list:
     return rows
 
 
-def _group(q: Query, t: Table, subqueries: dict, indices) -> list:
+def _group(q: Query, t: Table, indices) -> list:
     if not q.group_by:
         return [indices]  # single group, possibly empty (COUNT(*) over no rows is 0)
-    keys = [_compile(g, _ROW, t, subqueries) for g in q.group_by]
+    keys = [_compile(g, _ROW, t) for g in q.group_by]
     buckets: dict = {}
     for i in indices:
         buckets.setdefault(tuple([_group_key(key(i)) for key in keys]), []).append(i)
@@ -444,4 +432,4 @@ def execute_sql(p: Program, t: Table) -> tuple:
     tuple of cells."""
     if p.calls:
         raise UnsupportedFeature("program still contains model calls; resolve them first")
-    return tuple(_exec_query(p.root, t, {}))
+    return tuple(_exec_query(p.root, t))

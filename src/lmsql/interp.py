@@ -115,12 +115,16 @@ def build_val_prompt(question: str, sub: Table) -> str:
 _ROW_ID_RE = re.compile(r"^(\d+)\s*[.,]?$")
 
 
-def parse_map_response(text: str, expected_row_ids: list, question: str) -> Column:
-    """Parse the emitted sub-table and align it by row_id.
+def parse_map_response(text: str, sub: Table, question: str) -> Column:
+    """Parse the emitted sub-table and align it by row_id with sub, the
+    sub-table the prompt showed.
 
-    Missing row ids and blank answers become null; duplicates keep the last
-    occurrence; columns between row_id and the final answer column are ignored.
+    Missing row ids, blank answers and lines with fewer fields than sub's
+    columns plus the answer become null; duplicates keep the last occurrence;
+    columns between row_id and the final answer column are ignored.
     """
+    row_ids = [int(v) for v in sub.column(ROW_ID).cells]
+    width = len(sub.columns) + 1
     body = text
     start = text.find("/*")
     if start >= 0:
@@ -134,11 +138,12 @@ def parse_map_response(text: str, expected_row_ids: list, question: str) -> Colu
         m = _ROW_ID_RE.match(fields[0])
         if not m:
             continue  # header or commentary line
-        answers[int(m.group(1))] = fields[-1].lower() or None
+        short = len(fields) < width  # the line has no answer field
+        answers[int(m.group(1))] = None if short else fields[-1].lower() or None
     if not answers:
         raise MalformedResponse(
             f'no parseable rows in map response for "{question}": {text[:200]!r}')
-    cells = tuple(answers.get(rid) for rid in expected_row_ids)
+    cells = tuple(answers.get(rid) for rid in row_ids)
     return Column(question, "text", cells)
 
 
@@ -247,8 +252,7 @@ def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list,
         demos = retrieve_exec_demos(call.question, pool, NUM_DEMOS)
         prompt = build_map_prompt(call.question, sub, demos)
         response = ask(prompt)
-        row_ids = [int(v) for v in t.column(ROW_ID).cells]
-        parsed = parse_map_response(response, row_ids, call.question)
+        parsed = parse_map_response(response, sub, call.question)
         return Resolution(call, Column(name, "text", parsed.cells), name, prompt, response)
     prompt = build_val_prompt(call.question, sub)
     response = ask(prompt)

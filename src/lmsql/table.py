@@ -282,11 +282,11 @@ def _convert_all(cells: list, convert):
     return out
 
 
-def _as_number(v) -> Optional[float]:
+def as_number(v) -> Optional[float]:
     return v if isinstance(v, float) else parse_number(v) if isinstance(v, str) else None
 
 
-def _as_date(v) -> Optional[date]:
+def as_date(v) -> Optional[date]:
     return v if isinstance(v, date) else parse_date_like(v) if isinstance(v, str) else None
 
 
@@ -295,11 +295,11 @@ def _infer_cells(cells: Iterable[Cell]):
     for inference and stored null."""
     present = [None if v is None or (isinstance(v, str) and not v.strip()) else v for v in cells]
     if present.count(None) < len(present):
-        nums = _convert_all(present, _as_number)
+        nums = _convert_all(present, as_number)
         if nums is not None:
             kind = "int" if all(n is None or n == int(n) for n in nums) else "real"
             return kind, tuple(nums)
-        dates = _convert_all(present, _as_date)
+        dates = _convert_all(present, as_date)
         if dates is not None:
             return "date", tuple(dates)
     return "text", tuple(v if v is None else v.lower() if isinstance(v, str)

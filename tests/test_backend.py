@@ -380,6 +380,36 @@ def test_http_client_error_fails_without_retry():
     assert sleeps == []
 
 
+class FakeClock:
+    """A monotonic clock that moves only when something sleeps on it."""
+
+    def __init__(self):
+        self.now = 1000.0
+        self.slept = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.slept.append(seconds)
+        self.now += seconds
+
+
+def test_token_bucket_sleeps_until_its_next_token_and_refills(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(lmsql.backend, "time", clock)
+    bucket = lmsql.backend._TokenBucket(2, sleeper=clock.sleep)
+    bucket.acquire()
+    bucket.acquire()
+    assert clock.slept == []  # a full bucket holds per_minute tokens
+    bucket.acquire()
+    assert clock.slept == [pytest.approx(30.0)]  # one token refills in 60 s / per_minute
+    clock.now += 3600.0  # an idle hour refills the bucket to its capacity, no further
+    for _ in range(3):
+        bucket.acquire()
+    assert clock.slept == [pytest.approx(30.0)] * 2
+
+
 def test_cli_imports_without_requests():
     code = 'import sys; sys.modules["requests"] = None; import lmsql.cli'
     env = dict(os.environ, PYTHONPATH=str(Path(lmsql.__file__).parents[1]))

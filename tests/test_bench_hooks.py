@@ -10,6 +10,7 @@ tests/fixtures/bench, so that such a change fails here first.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 from lmsql import cli
@@ -35,12 +36,26 @@ def test_traced_run_reaches_every_hook(tmp_path):
             return run_example(*args, **kwargs)
         return run
 
+    calls: Counter = Counter()
+
+    def counting(key):
+        def factory(fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+        return factory
+
     hooks = Hooks(0, Tracer())
-    with patched(setup_targets(times) + [(cli, "_run_example", first_example)]), \
+    hooked = [(module, name) for module, name, _ in hooks.targets()]
+    counters = [(module, name, counting((module, name))) for module, name in hooked]
+    with patched(setup_targets(times) + [(cli, "_run_example", first_example)] + counters), \
             hooks.installed():
         code = cli.main(["run", str(BENCH / "dataset.jsonl"), "--config",
                          str(BENCH / "config.json"), "-o", str(tmp_path / "results.jsonl")])
     assert code == 0
+    assert [f"{module.__name__}.{name}" for module, name in hooked
+            if not calls[module, name]] == []  # every hooked name is reached
     assert loaded_before_first_example == [SETUP_LOADS]
     examples = len(hooks.example_times)
     service = {k: v / examples for k, v in hooks.service.counts().items()}

@@ -5,6 +5,8 @@ import math
 import re
 import sqlite3
 import time
+from datetime import date
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from lmsql import (Answer, Column, EvalError, NullBackend, ParseError, Program, Table,
                    UnknownColumn, UnsupportedFeature, execute_sql, parse, run_program)
 from lmsql import engine
-from lmsql.syntax import Literal
+from lmsql.syntax import Literal, OrderItem, Query
 
 from conftest import make_table
 from randgen import sqlite_denotation
@@ -170,6 +172,44 @@ def test_order_stability_and_nulls_last():
                    [["2", "a"], ["", "b"], ["1", "c"], ["2", "d"], ["1", "e"]])
     assert answer("SELECT v FROM w ORDER BY k", t) == ["c", "e", "a", "d", "b"]
     assert answer("SELECT v FROM w ORDER BY k DESC", t) == ["a", "d", "c", "e", "b"]
+
+
+ORDER_CELLS = st.one_of(  # few values of each kind, so that ties are common
+    st.none(),
+    st.sampled_from([-1.0, 0.0, 2.0, 2.5, 10.0]),
+    st.sampled_from(["2", "10", "2.5", " 3 ", "abc", "b", ""]),  # numeric text is a number
+    st.sampled_from([date(1999, 12, 31), date(2020, 1, 1)]),
+)
+
+
+def order_by_comparator(descs: list):
+    """Per key: nulls last, the other values in _sort_key's order, DESC
+    reversing only them; entries equal on every key compare equal."""
+    def compare(x, y):
+        for pos, desc in enumerate(descs):
+            a, b = x[1][pos], y[1][pos]
+            if a is None or b is None:
+                if (a is None) != (b is None):
+                    return 1 if a is None else -1
+                continue
+            ka, kb = engine._sort_key(a), engine._sort_key(b)
+            if ka != kb:
+                return (1 if ka > kb else -1) * (-1 if desc else 1)
+        return 0
+    return compare
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=3).flatmap(lambda descs: st.tuples(
+    st.just(descs),
+    st.lists(st.lists(ORDER_CELLS, min_size=len(descs), max_size=len(descs)), max_size=12))))
+def test_order_rows_is_a_stable_sort_with_nulls_last_per_key(case):
+    descs, keys = case
+    entries = [((i,), k) for i, k in enumerate(keys)]
+    q = Query((), order_by=tuple(OrderItem(Literal(None), desc) for desc in descs))
+    # sorted is stable, so entries that compare equal keep their input order
+    expected = sorted(entries, key=cmp_to_key(order_by_comparator(descs)))
+    assert engine._order_rows(list(entries), q) == expected
 
 
 def test_distinct():

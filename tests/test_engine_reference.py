@@ -15,13 +15,12 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from lmsql import parse
-from lmsql.engine import (_coerce_number, _comparable_pair, _group_key,
-                          _like_regex, _limit_count, _order_rows, _scalar, _sort_key,
-                          execute_sql)
+from lmsql.engine import (_comparable_pair, _group_key, _like_regex, _limit_count,
+                          _order_rows, _scalar, _sort_key, execute_sql)
 from lmsql.errors import EvalError, UnsupportedFeature
 from lmsql.syntax import (Aggregate, ApiCall, Binary, ColumnRef, InList, IsNull, Literal,
                           Program, Query, ScalarSubquery, Star, Unary, aggregates)
-from lmsql.table import Cell, Table, cell_to_text
+from lmsql.table import Cell, Table, as_number as _coerce_number, cell_to_text
 
 from conftest import make_table
 from randgen import (make_random_table, make_rich_table, random_query, rich_pred,

@@ -159,10 +159,11 @@ CITIES = next(e for e in EXAMPLES if e["table_path"] == "tables/cities.csv")
 
 def test_missing_row_ids_are_null_and_a_repeated_one_keeps_its_last_line():
     reply = ("/*\nrow_id\tcity\tbig\n0\ttokyo\tyes\n2\tshanghai\tno\n"
-             "2\tshanghai\tan extra column\tmaybe\n3\tsao paulo\t\n*/")  # 3: a blank answer
-    record = run_example(CITIES, ['SELECT f("Is it big?"; city) FROM w ORDER BY row_id LIMIT 4'],
+             "2\tshanghai\tan extra column\tmaybe\n3\tsao paulo\t\n"  # 3: a blank answer
+             "4  mexico city\n5\tcairo\n*/")  # 4 and 5: no answer field, aligned or tabbed
+    record = run_example(CITIES, ['SELECT f("Is it big?"; city) FROM w ORDER BY row_id LIMIT 6'],
                          [reply])
-    assert record["candidates"][0]["answer"] == ["yes", "none", "maybe", "none"]
+    assert record["candidates"][0]["answer"] == ["yes", "none", "maybe", "none", "none", "none"]
 
 
 def test_a_val_reply_compares_with_a_column_as_a_number_or_as_text():

@@ -60,8 +60,13 @@ ALABAMA_BLOCK = (
 )
 
 
+def shown(rows: int):
+    """A sub-table of row_id and one column, as a map prompt shows it."""
+    return make_table("t", ["c"], [["x"]] * rows)
+
+
 def test_parse_map_response_alabama():
-    col = parse_map_response(ALABAMA_BLOCK, [0, 1, 2, 3, 4], "Is it from alabama?")
+    col = parse_map_response(ALABAMA_BLOCK, shown(5), "Is it from alabama?")
     assert col.cells == ("no", "no", "yes", "no", "yes")
     assert col.name == "Is it from alabama?"
 
@@ -75,25 +80,25 @@ def test_parse_map_response_space_aligned():
         "2       graham hill      england\n"
         "*/"
     )
-    col = parse_map_response(block, [0, 1, 2], "What is his/her country?")
+    col = parse_map_response(block, shown(3), "What is his/her country?")
     assert col.cells == ("scotland", "united states", "england")
 
 
 def test_parse_map_response_missing_row_is_null():
     block = "/*\nrow_id\tc\tq\n0\tx\ta\n1\tx\tb\n2\tx\tc\n4\tx\te\n*/"
-    col = parse_map_response(block, [0, 1, 2, 3, 4], "q")
+    col = parse_map_response(block, shown(5), "q")
     assert col.cells == ("a", "b", "c", None, "e")
 
 
 def test_parse_map_response_duplicate_takes_last():
     block = "0\tx\tfirst\n0\tx\tsecond"
-    col = parse_map_response(block, [0], "q")
+    col = parse_map_response(block, shown(1), "q")
     assert col.cells == ("second",)
 
 
 def test_parse_map_response_free_text_fails():
     with pytest.raises(MalformedResponse):
-        parse_map_response("The answers are yes and no.", [0, 1], "q")
+        parse_map_response("The answers are yes and no.", shown(2), "q")
 
 
 def test_fields_splitting():
