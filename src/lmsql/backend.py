@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import difflib
 import hashlib
-import http.client
 import json
 import math
 import os
@@ -19,8 +18,6 @@ import re
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import Future
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -309,11 +306,13 @@ class HttpBackend(Backend):
     POSTs {prompt, temperature, top_p, max_tokens, n, stop} and expects
     {"choices": [{"text": ...}, ...]}. Retries transient failures with
     exponential backoff, or after the wait a 429 or 5xx reply's Retry-After
-    asks for, and enforces a client-side request rate.
+    asks for, and enforces a client-side request rate. The HTTP modules are
+    imported at the first request, so a run without one never loads them;
+    urlopen defaults to urllib.request.urlopen.
     """
 
     def __init__(self, endpoint: str, model: str = "", api_key: str = "",
-                 sleeper=time.sleep, urlopen=urllib.request.urlopen):
+                 sleeper=time.sleep, urlopen=None):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
@@ -323,6 +322,10 @@ class HttpBackend(Backend):
         self._bucket = _TokenBucket(REQUESTS_PER_MINUTE, sleeper=sleeper)
 
     def _complete(self, req: CompletionRequest) -> list:
+        import http.client
+        import urllib.error
+        import urllib.request
+        urlopen = self.urlopen or urllib.request.urlopen
         payload = {
             "prompt": req.prompt,
             "temperature": req.temperature,
@@ -343,7 +346,7 @@ class HttpBackend(Backend):
             self._bucket.acquire()
             wait = BACKOFF_S * (2 ** attempt)
             try:
-                with self.urlopen(request, timeout=TIMEOUT_S) as resp:
+                with urlopen(request, timeout=TIMEOUT_S) as resp:
                     status, body = resp.status, resp.read()
             except urllib.error.HTTPError as e:
                 detail = _error_text(e)
@@ -371,8 +374,9 @@ class HttpBackend(Backend):
             raise BadResponse(f"unparseable service reply: {e}")
 
 
-def _error_text(e: urllib.error.HTTPError) -> str:
-    """The start of an error reply's body; closes the reply."""
+def _error_text(e) -> str:
+    """The start of the body of e, a urllib.error.HTTPError; closes the reply."""
+    import http.client
     try:
         with e:
             return e.read(200).decode("utf-8", "replace")

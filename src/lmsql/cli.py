@@ -221,10 +221,12 @@ def _table_for_example(example: dict, run: Run, where: str) -> Table:
 
 def _read_jsonl(path: str) -> list:
     """(where, value) for each non-blank line, where naming the file and
-    line. The value of a line that is not JSON is its FormatError."""
+    line. The value of a line that is not JSON is its FormatError. Only "\n"
+    ends a line: JSON text may hold U+2028 and the other characters that
+    str.splitlines() also breaks at."""
     p = Path(path)
     records = []
-    for i, line in enumerate(read_text(p).splitlines()):
+    for i, line in enumerate(read_text(p).split("\n")):
         if not line.strip():
             continue
         where = f"{p.name} line {i + 1}"
@@ -437,19 +439,32 @@ def cmd_repl(args) -> int:
 
 # ---- argument parsing / dispatch ----
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON run-config file")
-    sp.add_argument("--backend", help="mock:PATH, remote:URL, or none")
-    sp.add_argument("--exemplars", help="exemplar JSON file")
-    sp.add_argument("--demo-pool", dest="demo_pool", help="execution demo pool JSON file")
-    sp.add_argument("--cache-dir", dest="cache_dir", help="response cache directory")
-    sp.add_argument("--n", type=int, help="candidate programs to sample")
-    sp.add_argument("--temperature", type=float)
-    sp.add_argument("--strategy", choices=sorted(STRATEGIES))
-    sp.add_argument("--dataset-style", dest="dataset_style",
-                    choices=sorted(INSTRUCTIONS), help="generation defaults + instruction preset")
-    sp.add_argument("--parallelism", type=int)
-    sp.add_argument("--seed", type=int)
+# every run flag, in --help order; argparse names each one's dest after it
+_FLAGS = {
+    "--config": dict(help="JSON run-config file"),
+    "--backend": dict(help="mock:PATH, remote:URL, or none"),
+    "--exemplars": dict(help="exemplar JSON file"),
+    "--demo-pool": dict(help="execution demo pool JSON file"),
+    "--cache-dir": dict(help="response cache directory"),
+    "--n": dict(type=int, help="candidate programs to sample"),
+    "--temperature": dict(type=float),
+    "--strategy": dict(choices=sorted(STRATEGIES)),
+    "--dataset-style": dict(choices=sorted(INSTRUCTIONS),
+                            help="generation defaults + instruction preset"),
+    "--parallelism": dict(type=int),
+    "--seed": dict(type=int),
+}
+# `exec` and `repl` send only map and val requests, at temperature 0, whose
+# cache key leaves the seed out; `parse` votes on nothing and runs no program
+_EXEC_FLAGS = ("--config", "--backend", "--demo-pool", "--cache-dir")
+_PARSE_FLAGS = ("--config", "--backend", "--exemplars", "--cache-dir", "--n", "--temperature",
+                "--dataset-style", "--seed")
+
+
+def _add_flags(sp: argparse.ArgumentParser, flags=tuple(_FLAGS)) -> None:
+    for flag, options in _FLAGS.items():
+        if flag in flags:
+            sp.add_argument(flag, **options)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -461,20 +476,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("parse", help="sample candidate programs for a question")
     sp.add_argument("question")
     sp.add_argument("table", help="table file (csv/tsv/json)")
-    _add_common(sp)
+    _add_flags(sp, _PARSE_FLAGS)
     sp.set_defaults(fn=cmd_parse)
 
     sp = sub.add_parser("exec", help="execute one program against a table")
     sp.add_argument("program")
     sp.add_argument("table")
     sp.add_argument("--trace", action="store_true")
-    _add_common(sp)
+    _add_flags(sp, _EXEC_FLAGS)
     sp.set_defaults(fn=cmd_exec)
 
     sp = sub.add_parser("run", help="parse + execute + vote over a dataset")
     sp.add_argument("dataset", nargs="?", help="JSONL of {id, question, table_path|table, gold}")
     sp.add_argument("--output", "-o", help="results JSONL path (default results.jsonl)")
-    _add_common(sp)
+    _add_flags(sp)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("eval", help="score a results file against gold answers")
@@ -488,7 +503,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("repl", help="interactive program execution")
     sp.add_argument("table")
     sp.add_argument("--trace", action="store_true")
-    _add_common(sp)
+    _add_flags(sp, _EXEC_FLAGS)
     sp.set_defaults(fn=cmd_repl)
     return ap
 

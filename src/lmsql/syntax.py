@@ -32,9 +32,13 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<symbol><>|!=|<=|>=|[()=<>,;*+\-/%])
+  | (?P<string>'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))  # a doubled quote escapes
+  | (?P<quoted>`[^`]*`)
     """,
     re.VERBOSE,
 )
+_UNMATCHED = {"'": "unterminated string literal", '"': "unterminated string literal",
+              "`": "unterminated quoted identifier"}
 
 
 @dataclass(frozen=True)
@@ -43,11 +47,11 @@ class Token:
     value: str
     pos: int
 
-    def is_kw(self, *names: str) -> bool:
-        return self.kind == "keyword" and self.value in names
-
-    def is_sym(self, *values: str) -> bool:
-        return self.kind == "symbol" and self.value in values
+    def matches(self, *values: str) -> bool:
+        """A keyword or symbol among values. A keyword's value is an
+        upper-case word and a symbol's is punctuation, so the value names
+        the kind."""
+        return self.kind in ("keyword", "symbol") and self.value in values
 
 
 def tokenize(text: str) -> list:
@@ -55,122 +59,93 @@ def tokenize(text: str) -> list:
     tokens = []
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch in "'\"":
-            value, i2 = _lex_string(text, i)
-            tokens.append(Token("string", value, i))
-            i = i2
-            continue
-        if ch == "`":
-            end = text.find("`", i + 1)
-            if end < 0:
-                raise LexError("unterminated quoted identifier", i)
-            tokens.append(Token("ident", text[i + 1:end], i))
-            i = end + 1
-            continue
         m = _TOKEN_RE.match(text, i)
         if not m:
-            raise LexError(f"illegal character {ch!r}", i)
-        if m.lastgroup == "ws":
-            i = m.end()
-            continue
-        value = m.group()
-        if m.lastgroup == "ident" and value.upper() in KEYWORDS:
-            tokens.append(Token("keyword", value.upper(), i))
-        else:
-            tokens.append(Token(m.lastgroup, value, i))
+            ch = text[i]
+            raise LexError(_UNMATCHED.get(ch, f"illegal character {ch!r}"), i)
+        kind, value = m.lastgroup, m.group()
+        if kind == "string":
+            value = value[1:-1].replace(value[0] * 2, value[0])
+        elif kind == "quoted":
+            kind, value = "ident", value[1:-1]
+        elif kind == "ident" and value.upper() in KEYWORDS:
+            kind, value = "keyword", value.upper()
+        if kind != "ws":
+            tokens.append(Token(kind, value, i))
         i = m.end()
     tokens.append(Token("eof", "", n))
     return tokens
 
 
-def _lex_string(text: str, start: int):
-    quote = text[start]
-    out = []
-    i = start + 1
-    while i < len(text):
-        ch = text[i]
-        if ch == quote:
-            if i + 1 < len(text) and text[i + 1] == quote:  # doubled quote escape
-                out.append(quote)
-                i += 2
-                continue
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise LexError("unterminated string literal", start)
-
-
 # ---- AST ----
 
 @dataclass(frozen=True)
-class Literal:
+class _Node:
+    """The source offset of a node, -1 if built by hand; trees that differ
+    only in positions are equal. Keyword-only, so each node's own fields
+    keep their positional order."""
+    pos: int = field(default=-1, compare=False, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Literal(_Node):
     value: object  # None | float | str
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class ColumnRef:
+class ColumnRef(_Node):
     name: str
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Star:
-    pos: int = field(default=-1, compare=False, repr=False)
+class Star(_Node):
+    """`*` as a select item or the argument of COUNT(*)."""
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     op: str  # '-' | 'NOT'
     operand: object
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Node):
     op: str  # + - * / % = != <> < <= > >= AND OR LIKE 'NOT LIKE'
     left: object
     right: object
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class InList:
+class InList(_Node):
     subject: object
     items: tuple
     negated: bool = False
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class IsNull:
+class IsNull(_Node):
     subject: object
     negated: bool = False
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Aggregate:
+class Aggregate(_Node):
     func: str  # COUNT SUM AVG MIN MAX
     arg: object  # an expression, or Star
     distinct: bool = False
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class ScalarSubquery:
+class ScalarSubquery(_Node):
     query: "Query"
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class ApiCall:
+class ApiCall(_Node):
     question: str
     args: tuple  # ColumnRef | ApiCall, non-empty
     role: Optional[str] = None  # 'map' | 'val', assigned by assign_roles
     forced: bool = False  # surface form was f_col / f_val
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -180,7 +155,7 @@ class OrderItem:
 
 
 @dataclass(frozen=True)
-class Query:
+class Query(_Node):
     select_items: tuple
     distinct: bool = False
     from_table: Optional[str] = None
@@ -189,7 +164,6 @@ class Query:
     having: Optional[object] = None
     order_by: tuple = ()  # OrderItem
     limit: Optional[object] = None  # Literal(number) | ApiCall
-    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -325,85 +299,81 @@ class _Parser:
     def error(self, message: str, expected=()) -> ParseError:
         return ParseError(message, self.peek().pos, expected)
 
-    def expect_kw(self, name: str) -> Token:
-        if not self.peek().is_kw(name):
-            raise self.error(f"got {self.peek().value or 'end of input'!r}", [name])
-        return self.advance()
-
-    def expect_sym(self, value: str) -> Token:
-        if not self.peek().is_sym(value):
+    def expect(self, value: str) -> Token:
+        if not self.peek().matches(value):
             raise self.error(f"got {self.peek().value or 'end of input'!r}", [value])
         return self.advance()
 
-    def accept_kw(self, *names: str) -> Optional[Token]:
-        if self.peek().is_kw(*names):
+    def accept(self, *values: str) -> Optional[Token]:
+        if self.peek().matches(*values):
             return self.advance()
         return None
 
-    def accept_sym(self, *values: str) -> Optional[Token]:
-        if self.peek().is_sym(*values):
-            return self.advance()
-        return None
+    def comma_list(self, parse_item) -> tuple:
+        """parse_item(), then again after each comma."""
+        items = [parse_item()]
+        while self.accept(","):
+            items.append(parse_item())
+        return tuple(items)
+
+    def at_call(self) -> bool:
+        """The cursor is at the name of a model call."""
+        tok = self.peek()
+        return tok.kind == "ident" and tok.value in CALL_NAMES and self.peek(1).matches("(")
 
     # program := query [';'] EOF
     def parse_program(self) -> Program:
         q = self.parse_query()
-        self.accept_sym(";")
+        self.accept(";")
         if self.peek().kind != "eof":
             raise self.error(f"unexpected trailing input {self.peek().value!r}")
         return Program(q, self.text)
 
     def parse_query(self) -> Query:
-        start = self.expect_kw("SELECT")
-        distinct = bool(self.accept_kw("DISTINCT"))
-        items = [self.parse_select_item()]
-        while self.accept_sym(","):
-            items.append(self.parse_select_item())
+        start = self.expect("SELECT")
+        distinct = bool(self.accept("DISTINCT"))
+        items = self.comma_list(self.parse_select_item)
         from_table = None
-        if self.accept_kw("FROM"):
+        if self.accept("FROM"):
             tok = self.peek()
             if tok.kind != "ident":
                 raise self.error("FROM needs a table name", ["table name"])
             from_table = self.advance().value
             nxt = self.peek()
-            if nxt.is_sym(",") or (nxt.kind == "ident" and nxt.value.upper() in
+            if nxt.matches(",") or (nxt.kind == "ident" and nxt.value.upper() in
                                    ("JOIN", "INNER", "LEFT", "RIGHT", "CROSS", "OUTER", "AS", "ON")):
                 raise ParseError("joins and table aliases are not supported; query the single table",
                                  nxt.pos)
-        where = self.parse_expr() if self.accept_kw("WHERE") else None
-        group_by: list = []
-        if self.accept_kw("GROUP"):
-            self.expect_kw("BY")
-            group_by.append(self.parse_expr())
-            while self.accept_sym(","):
-                group_by.append(self.parse_expr())
-        having = self.parse_expr() if self.accept_kw("HAVING") else None
-        order_by: list = []
-        if self.accept_kw("ORDER"):
-            self.expect_kw("BY")
-            order_by.append(self.parse_order_item())
-            while self.accept_sym(","):
-                order_by.append(self.parse_order_item())
+        where = self.parse_expr() if self.accept("WHERE") else None
+        group_by: tuple = ()
+        if self.accept("GROUP"):
+            self.expect("BY")
+            group_by = self.comma_list(self.parse_expr)
+        having = self.parse_expr() if self.accept("HAVING") else None
+        order_by: tuple = ()
+        if self.accept("ORDER"):
+            self.expect("BY")
+            order_by = self.comma_list(self.parse_order_item)
         limit = None
-        if self.accept_kw("LIMIT"):
+        if self.accept("LIMIT"):
             limit = self.parse_limit_value()
-        q = Query(tuple(items), distinct, from_table, where, tuple(group_by),
-                  having, tuple(order_by), limit, pos=start.pos)
+        q = Query(items, distinct, from_table, where, group_by, having, order_by, limit,
+                  pos=start.pos)
         _check_aggregate_placement(q)
         return q
 
     def parse_select_item(self):
         tok = self.peek()
-        if tok.is_sym("*"):
+        if tok.matches("*"):
             self.advance()
             return Star(pos=tok.pos)
         return self.parse_expr()
 
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_expr()
-        if self.accept_kw("DESC"):
+        if self.accept("DESC"):
             return OrderItem(expr, desc=True)
-        self.accept_kw("ASC")
+        self.accept("ASC")
         return OrderItem(expr, desc=False)
 
     def parse_limit_value(self):
@@ -411,7 +381,7 @@ class _Parser:
         if tok.kind == "number":
             self.advance()
             return Literal(float(tok.value), pos=tok.pos)
-        if tok.kind == "ident" and tok.value in CALL_NAMES and self.peek(1).is_sym("("):
+        if self.at_call():
             return self.parse_api_call()
         raise self.error("LIMIT needs an integer or a model call", ["number"])
 
@@ -429,7 +399,7 @@ class _Parser:
         self.depth += 1
         self.nest(self.depth)
         tok = self.peek()
-        if tok.is_sym("-") or (tok.is_kw("NOT") and min_prec <= _NOT):
+        if tok.matches("-") or (tok.matches("NOT") and min_prec <= _NOT):
             self.advance()
             prec = _NEGATE if tok.value == "-" else _NOT
             left = Unary(tok.value, self.parse_expr(prec), pos=tok.pos)
@@ -438,7 +408,7 @@ class _Parser:
         limit = prec + 1  # after a level-p operator, only looser ones follow
         while True:
             tok = self.peek()
-            negated = tok.is_kw("NOT") and self.peek(1).is_kw("LIKE", "IN")
+            negated = tok.matches("NOT") and self.peek(1).matches("LIKE", "IN")
             if negated:
                 tok = self.peek(1)
             prec = _PREC.get(tok.value, 0) if tok.kind in ("symbol", "keyword") else 0
@@ -447,15 +417,13 @@ class _Parser:
             self.i += 2 if negated else 1
             self.nest(self.high + 1)  # the chain so far moves one level down
             if tok.value == "IN":
-                self.expect_sym("(")
-                items = [self.parse_expr()]
-                while self.accept_sym(","):
-                    items.append(self.parse_expr())
-                self.expect_sym(")")
-                left = InList(left, tuple(items), negated, pos=tok.pos)
+                self.expect("(")
+                items = self.comma_list(self.parse_expr)
+                self.expect(")")
+                left = InList(left, items, negated, pos=tok.pos)
             elif tok.value == "IS":
-                neg = bool(self.accept_kw("NOT"))
-                self.expect_kw("NULL")
+                neg = bool(self.accept("NOT"))
+                self.expect("NULL")
                 left = IsNull(left, neg, pos=tok.pos)
             else:
                 right = self.parse_expr(prec + 1)
@@ -480,23 +448,22 @@ class _Parser:
         if tok.kind == "string":
             self.advance()
             return Literal(tok.value, pos=tok.pos)
-        if tok.is_kw("NULL"):
+        if tok.matches("NULL"):
             self.advance()
             return Literal(None, pos=tok.pos)
-        if tok.is_sym("("):
+        if tok.matches("("):
             self.advance()
-            if self.peek().is_kw("SELECT"):
+            if self.peek().matches("SELECT"):
                 q = self.parse_query()
-                self.expect_sym(")")
+                self.expect(")")
                 return ScalarSubquery(q, pos=tok.pos)
             inner = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             return inner
         if tok.kind == "ident":
-            upper = tok.value.upper()
-            if tok.value in CALL_NAMES and self.peek(1).is_sym("("):
+            if self.at_call():
                 return self.parse_api_call()
-            if upper in AGGREGATES and self.peek(1).is_sym("("):
+            if tok.value.upper() in AGGREGATES and self.peek(1).matches("("):
                 return self.parse_aggregate()
             self.advance()
             return ColumnRef(tok.value, pos=tok.pos)
@@ -505,42 +472,40 @@ class _Parser:
     def parse_aggregate(self) -> Aggregate:
         name = self.advance()
         func = name.value.upper()
-        self.expect_sym("(")
-        if self.accept_sym("*"):
+        self.expect("(")
+        if self.accept("*"):
             if func != "COUNT":
                 raise ParseError(f"{func}(*) is not supported", name.pos)
-            self.expect_sym(")")
+            self.expect(")")
             return Aggregate(func, Star(), pos=name.pos)
-        distinct = bool(self.accept_kw("DISTINCT"))
+        distinct = bool(self.accept("DISTINCT"))
         arg = self.parse_expr()
-        self.expect_sym(")")
+        self.expect(")")
         return Aggregate(func, arg, distinct, pos=name.pos)
 
     def parse_api_call(self) -> ApiCall:
         name = self.advance()
         self.depth += 1
         self.nest(self.depth)
-        self.expect_sym("(")
+        self.expect("(")
         qtok = self.peek()
         if qtok.kind != "string":
             raise self.error("model call needs a quoted question", ["string"])
         self.advance()
         if not qtok.value.strip():
             raise ParseError("model-call question must be non-empty", qtok.pos)
-        self.expect_sym(";")
-        args = [self.parse_call_arg()]
-        while self.accept_sym(","):
-            args.append(self.parse_call_arg())
-        self.expect_sym(")")
+        self.expect(";")
+        args = self.comma_list(self.parse_call_arg)
+        self.expect(")")
         self.depth -= 1
         forced_role = CALL_NAMES[name.value]
-        return ApiCall(qtok.value, tuple(args), role=forced_role,
+        return ApiCall(qtok.value, args, role=forced_role,
                        forced=forced_role is not None, pos=name.pos)
 
     def parse_call_arg(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.value in CALL_NAMES and self.peek(1).is_sym("("):
+        if self.at_call():
             return self.parse_api_call()
+        tok = self.peek()
         if tok.kind == "ident":
             self.advance()
             return ColumnRef(tok.value, pos=tok.pos)

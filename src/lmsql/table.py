@@ -9,6 +9,7 @@ by normalize) or datetime.date.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -262,7 +263,9 @@ def load_table(path) -> Table:
     if suffix == ".json":
         return table_from_json(read_json(p, "table"))
     delim = "," if suffix == ".csv" else "\t"
-    rows = list(csv.reader(read_text(p).splitlines(), delimiter=delim))
+    # only "\n" ends a row: a quoted line break stays in its cell, and other
+    # line-break characters are cell text
+    rows = list(csv.reader(io.StringIO(read_text(p), newline=""), delimiter=delim))
     if not rows:
         raise FormatError(f"{p.name} is empty")
     return _table_from_grid(p.stem, rows[0], rows[1:])

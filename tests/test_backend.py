@@ -411,7 +411,9 @@ def test_token_bucket_sleeps_until_its_next_token_and_refills(monkeypatch):
 
 
 def test_cli_imports_without_requests():
-    code = 'import sys; sys.modules["requests"] = None; import lmsql.cli'
+    # nor the standard library's HTTP stack, which only a remote request loads
+    code = ('import sys; sys.modules["requests"] = None; import lmsql.cli; '
+            'assert not {"http.client", "urllib.request"} & set(sys.modules)')
     env = dict(os.environ, PYTHONPATH=str(Path(lmsql.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

@@ -604,3 +604,53 @@ def test_bad_eval_line_names_file_and_line(tmp_path, capsys, which, line, error)
     code, _, err = run_cli(capsys, "eval", *paths)
     assert code == 3
     assert err == f"lmsql: {which}.jsonl line 2: {error}\n"
+
+
+def test_exec_refuses_a_flag_it_does_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exec", "SELECT 1", SHIRTS, "--n", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lmsql") and "unrecognized arguments: --n 3" in err
+
+
+def _answering_config(tmp_path) -> str:
+    """A config whose backend answers every question with SELECT a FROM w."""
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps([{"match": "regex", "prompt_pattern": "Binder: $",
+                                 "responses": ["SELECT a FROM w"]}]))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_fig1_config(backend={"mock": str(mock)})))
+    return str(config)
+
+
+def test_dataset_lines_end_only_at_newlines(tmp_path, capsys):
+    """A raw U+2028 inside a JSON string is text of its line, not a line break."""
+    dataset = tmp_path / "dataset.jsonl"
+    example = {"id": "q", "question": "which\u2028a?",
+               "table": {"header": ["a"], "rows": [["1"]]}}
+    dataset.write_text(json.dumps(example, ensure_ascii=False) + "\n", encoding="utf-8")
+    results = tmp_path / "results.jsonl"
+    code, _, _ = run_cli(capsys, "run", str(dataset), "--config", _answering_config(tmp_path),
+                         "-o", str(results))
+    assert code == 0
+    record = json.loads(results.read_text(encoding="utf-8"))
+    assert (record["id"], record["final_answer"], record.get("error")) == ("q", ["1"], None)
+
+
+def test_run_then_eval_with_line_separators_in_an_answer(tmp_path, capsys):
+    """`run` writes U+2028 and U+0085 raw; `eval` reads that file back."""
+    answer = "x\u2028y\u0085z"
+    dataset = tmp_path / "dataset.jsonl"
+    example = {"id": "q", "question": "which a?", "table": {"header": ["a"], "rows": [[answer]]},
+               "gold": [answer]}
+    dataset.write_text(json.dumps(example) + "\n")
+    results = tmp_path / "results.jsonl"
+    code, _, _ = run_cli(capsys, "run", str(dataset), "--config", _answering_config(tmp_path),
+                         "-o", str(results))
+    assert code == 0
+    text = results.read_text(encoding="utf-8")
+    assert "\u2028" in text and "\u0085" in text
+    assert json.loads(text)["final_answer"] == [answer]
+    code, out, _ = run_cli(capsys, "eval", str(results), str(dataset))
+    assert code == 0 and "1.0000" in out

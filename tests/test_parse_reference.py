@@ -1,19 +1,111 @@
-"""Property test: the precedence-climbing expression parser builds the trees,
+"""Property tests: the precedence-climbing expression parser builds the trees,
 positions included, and raises the errors of the parser it replaced, which
-had one method per precedence level."""
+had one method per precedence level; and the one-regex lexer gives the
+tokens and errors of the lexer it replaced, which scanned quotes by hand."""
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from lmsql import ParseError
-from lmsql.syntax import Binary, InList, IsNull, Literal, Unary, _Parser, tokenize
+from lmsql import LexError, ParseError
+from lmsql.syntax import (KEYWORDS, Binary, InList, IsNull, Literal, Token, Unary, _Parser,
+                          tokenize)
 
 from corpus import EXEMPLAR_PROGRAMS
 from randgen import VOCAB, make_random_table, random_query
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<symbol><>|!=|<=|>=|[()=<>,;*+\-/%])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list:
+    """The lexer as it was: strings and quoted identifiers scanned by hand,
+    every other token by a regex without quote groups."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in "'\"":
+            value, i2 = _reference_lex_string(text, i)
+            tokens.append(Token("string", value, i))
+            i = i2
+            continue
+        if ch == "`":
+            end = text.find("`", i + 1)
+            if end < 0:
+                raise LexError("unterminated quoted identifier", i)
+            tokens.append(Token("ident", text[i + 1:end], i))
+            i = end + 1
+            continue
+        m = _REFERENCE_TOKEN_RE.match(text, i)
+        if not m:
+            raise LexError(f"illegal character {ch!r}", i)
+        if m.lastgroup == "ws":
+            i = m.end()
+            continue
+        value = m.group()
+        if m.lastgroup == "ident" and value.upper() in KEYWORDS:
+            tokens.append(Token("keyword", value.upper(), i))
+        else:
+            tokens.append(Token(m.lastgroup, value, i))
+        i = m.end()
+    tokens.append(Token("eof", "", n))
+    return tokens
+
+
+def _reference_lex_string(text: str, start: int):
+    quote = text[start]
+    out = []
+    i = start + 1
+    while i < len(text):
+        ch = text[i]
+        if ch == quote:
+            if i + 1 < len(text) and text[i + 1] == quote:  # doubled quote escape
+                out.append(quote)
+                i += 2
+                continue
+            return "".join(out), i + 1
+        out.append(ch)
+        i += 1
+    raise LexError("unterminated string literal", start)
+
+
+def _lexed(lex, text: str):
+    try:
+        return "tokens", [(t.kind, t.value, t.pos) for t in lex(text)]
+    except LexError as e:
+        return "error", str(e), e.position
+
+
+# quotes, doubled quotes and backticks in every mix, among the other tokens
+LEX_PIECES = ["'", '"', "`", "''", '""', "'", '"', "`", "a", "Z_9", "select", "In", "0",
+              "7.", ".5", "1e3", "<", "<>", "!=", ">=", "=", "-", "(", ")", ",", ";", "!",
+              "@", " ", "\t", "\n", "é"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=24).map("".join))
+# a quote closes a string only when no quote follows it
+@example("'abc''")
+@example('"x"""')
+@example("'a'' b'")
+@example("`a``b`")
+def test_lexer_matches_reference(text):
+    expected = _lexed(reference_tokenize, text)
+    event(expected[0])
+    assert _lexed(tokenize, text) == expected, text
 
 
 class ReferenceParser(_Parser):
@@ -26,7 +118,7 @@ class ReferenceParser(_Parser):
     def parse_or(self):
         left = self.parse_and()
         while True:
-            tok = self.accept_kw("OR")
+            tok = self.accept("OR")
             if not tok:
                 return left
             left = Binary("OR", left, self.parse_and(), pos=tok.pos)
@@ -34,13 +126,13 @@ class ReferenceParser(_Parser):
     def parse_and(self):
         left = self.parse_not()
         while True:
-            tok = self.accept_kw("AND")
+            tok = self.accept("AND")
             if not tok:
                 return left
             left = Binary("AND", left, self.parse_not(), pos=tok.pos)
 
     def parse_not(self):
-        tok = self.accept_kw("NOT")
+        tok = self.accept("NOT")
         if tok:
             return Unary("NOT", self.parse_not(), pos=tok.pos)
         return self.parse_comparison()
@@ -48,42 +140,42 @@ class ReferenceParser(_Parser):
     def parse_comparison(self):
         left = self.parse_additive()
         tok = self.peek()
-        if tok.is_sym("=", "!=", "<>", "<", "<=", ">", ">="):
+        if tok.matches("=", "!=", "<>", "<", "<=", ">", ">="):
             self.advance()
             op = "!=" if tok.value == "<>" else tok.value
             return Binary(op, left, self.parse_additive(), pos=tok.pos)
         negated = False
-        if tok.is_kw("NOT") and self.peek(1).is_kw("LIKE", "IN"):
+        if tok.matches("NOT") and self.peek(1).matches("LIKE", "IN"):
             self.advance()
             negated = True
             tok = self.peek()
-        if tok.is_kw("LIKE"):
+        if tok.matches("LIKE"):
             self.advance()
             pattern = self.parse_additive()
             if not (isinstance(pattern, Literal) and isinstance(pattern.value, str)):
                 raise ParseError("LIKE pattern must be a string literal", tok.pos)
             return Binary("NOT LIKE" if negated else "LIKE", left, pattern, pos=tok.pos)
-        if tok.is_kw("IN"):
+        if tok.matches("IN"):
             self.advance()
-            self.expect_sym("(")
+            self.expect("(")
             items = [self.parse_expr()]
-            while self.accept_sym(","):
+            while self.accept(","):
                 items.append(self.parse_expr())
-            self.expect_sym(")")
+            self.expect(")")
             return InList(left, tuple(items), negated, pos=tok.pos)
         if negated:
             raise self.error("dangling NOT", ["LIKE", "IN"])
-        if tok.is_kw("IS"):
+        if tok.matches("IS"):
             self.advance()
-            neg = bool(self.accept_kw("NOT"))
-            self.expect_kw("NULL")
+            neg = bool(self.accept("NOT"))
+            self.expect("NULL")
             return IsNull(left, neg, pos=tok.pos)
         return left
 
     def parse_additive(self):
         left = self.parse_multiplicative()
         while True:
-            tok = self.accept_sym("+", "-")
+            tok = self.accept("+", "-")
             if not tok:
                 return left
             left = Binary(tok.value, left, self.parse_multiplicative(), pos=tok.pos)
@@ -91,13 +183,13 @@ class ReferenceParser(_Parser):
     def parse_multiplicative(self):
         left = self.parse_unary()
         while True:
-            tok = self.accept_sym("*", "/", "%")
+            tok = self.accept("*", "/", "%")
             if not tok:
                 return left
             left = Binary(tok.value, left, self.parse_unary(), pos=tok.pos)
 
     def parse_unary(self):
-        tok = self.accept_sym("-")
+        tok = self.accept("-")
         if tok:
             return Unary("-", self.parse_unary(), pos=tok.pos)
         return self.parse_primary()

@@ -41,6 +41,16 @@ def test_load_csv_ragged_row(tmp_path):
         load_table(p)
 
 
+def test_load_csv_ends_rows_only_at_newlines(tmp_path):
+    """A raw line separator is cell text, and a quoted line break stays in its
+    cell, as in an inline JSON table; only "\n" ends a row."""
+    p = tmp_path / "t.csv"
+    p.write_text('a,b\nfoo\u2028bar,1\n"foo\nbar",2\nx\u0085y\x0cz,3\n', encoding="utf-8")
+    t = load_table(p)
+    assert t.columns[0].cells == ("foo\u2028bar", "foo\nbar", "x\u0085y\x0cz")
+    assert t.columns[1].cells == ("1", "2", "3")
+
+
 def test_load_duplicate_headers(tmp_path):
     p = tmp_path / "dup.csv"
     p.write_text("a,a\n1,2\n")
