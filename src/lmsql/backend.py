@@ -243,12 +243,13 @@ class CachingBackend(Backend):
         if self.cache_dir is None:
             return self.inner.complete(req)
         path = self._path(key)
-        if path.exists():
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-                return list(entry["responses"])
-            except (OSError, json.JSONDecodeError, KeyError):
-                pass  # corrupt entry: fall through and recompute
+        try:  # an entry is used only if it holds req.n strings for this key
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            found = entry["responses"] if entry["key"] == key else None
+        except (OSError, ValueError, TypeError, KeyError):  # missing, not JSON, not an object
+            found = None
+        if isinstance(found, list) and len(found) == req.n and all(isinstance(r, str) for r in found):
+            return found
         responses = self.inner.complete(req)
         entry = {
             "key": key,

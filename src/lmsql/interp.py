@@ -22,8 +22,8 @@ from .engine import Answer, execute_sql
 from .errors import EvalError, FormatError, MalformedResponse, ResolutionError
 from .syntax import (ApiCall, ColumnRef, Literal, Program, api_calls_bottom_up,
                      assign_roles, map_children)
-from .table import (ROW_ID, Column, Table, augment, linearize_row, project,
-                    read_json, text_fields)
+from .table import (ROW_ID, Column, Table, augment, one_line, project, read_json,
+                    table_lines, text_fields)
 
 
 NUM_DEMOS = 8  # pool demos retrieved for each map prompt
@@ -40,12 +40,10 @@ class ExecDemo:
     answer_block: str
 
     def __post_init__(self):
-        col_lines = self.column_block.splitlines()
-        ans_lines = self.answer_block.splitlines()
-        if not col_lines or not ans_lines:
+        if not self.column_block or not self.answer_block:
             raise FormatError(f"demo {self.title!r}: empty block")
-        have = len(_fields(col_lines[0]))
-        want = len(_fields(ans_lines[0]))
+        have = len(_fields(self.column_block.split("\n")[0]))
+        want = len(_fields(self.answer_block.split("\n")[0]))
         if want != have + 1:
             raise FormatError(
                 f"demo {self.title!r}: answer block must have exactly one extra column "
@@ -74,12 +72,6 @@ def _fields(line: str) -> list:
 
 # ---- prompts ----
 
-def _table_block(sub: Table) -> str:
-    lines = ["\t".join(sub.column_names())]
-    lines.extend(linearize_row(row) for row in sub.rows())
-    return "\n".join(lines)
-
-
 def _database_block(title: str, table_text: str, question_line: str) -> str:
     """The frame every execution prompt block shares: a table, then a question."""
     return (
@@ -101,37 +93,37 @@ def build_map_prompt(question: str, sub: Table, demos: list) -> str:
     """Demos first, then the query block; ends right after the output marker."""
     blocks = [_map_block(d.title, d.column_block, d.question) + f"\n/*\n{d.answer_block}\n*/"
               for d in demos]
-    blocks.append(_map_block(sub.title, _table_block(sub), question))
+    blocks.append(_map_block(sub.title, table_lines(sub, sub.rows()), one_line(question)))
     return "\n\n".join(blocks) + "\n"
 
 
 def build_val_prompt(question: str, sub: Table) -> str:
     """Single-value variant: same table block, then a bare QA line."""
-    return _database_block(sub.title, _table_block(sub), f"Q: {question}\nA:")
+    return _database_block(sub.title, table_lines(sub, sub.rows()), f"Q: {question}\nA:")
 
 
 # ---- response parsing ----
 
 _ROW_ID_RE = re.compile(r"^(\d+)\s*[.,]?$")
+_OPEN_RE, _CLOSE_RE = re.compile(r"^/\*", re.M), re.compile(r"^\*/", re.M)  # at line starts
 
 
 def parse_map_response(text: str, sub: Table, question: str) -> Column:
     """Parse the emitted sub-table and align it by row_id with sub, the
     sub-table the prompt showed.
 
-    Missing row ids, blank answers and lines with fewer fields than sub's
-    columns plus the answer become null; duplicates keep the last occurrence;
-    columns between row_id and the final answer column are ignored.
+    The block ends at the first line that starts with "*/", as no row line
+    does. Missing row ids, blank answers and lines with fewer fields than
+    sub's columns plus the answer become null; duplicates keep the last
+    occurrence; columns between row_id and the final answer column are ignored.
     """
     row_ids = [int(v) for v in sub.column(ROW_ID).cells]
     width = len(sub.columns) + 1
-    body = text
-    start = text.find("/*")
-    if start >= 0:
-        end = text.find("*/", start + 2)
-        body = text[start + 2:end if end >= 0 else len(text)]
+    start = _OPEN_RE.search(text)
+    body = text[start.end():] if start else text
+    end = _CLOSE_RE.search(body)
     answers: dict = {}
-    for line in body.splitlines():
+    for line in body[:end.start() if end else None].split("\n"):
         fields = _fields(line)
         if len(fields) < 2:
             continue
@@ -148,7 +140,7 @@ def parse_map_response(text: str, sub: Table, question: str) -> Column:
 
 
 def parse_val_response(text: str) -> Optional[str]:
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if line.strip():
             return line.strip().lower()
     return None
@@ -168,6 +160,8 @@ def _profile(text: str) -> tuple:
 
 
 def _similarity(hyp: tuple, ref: tuple) -> float:
+    """Smoothed modified-precision overlap of two _profiles' 1..4-grams, with
+    a brevity penalty; 0 when either side is empty."""
     (hyp_len, hcounts), (ref_len, rcounts) = hyp, ref
     if not hyp_len or not ref_len:
         return 0.0
@@ -183,12 +177,6 @@ def _similarity(hyp: tuple, ref: tuple) -> float:
     if hyp_len < ref_len:
         score *= math.exp(1.0 - ref_len / hyp_len)
     return score
-
-
-def ngram_similarity(hypothesis: str, reference: str) -> float:
-    """Smoothed modified-precision overlap of 1..4-grams, with a brevity
-    penalty; 0 when either side is empty."""
-    return _similarity(_profile(hypothesis), _profile(reference))
 
 
 def retrieve_exec_demos(question: str, pool: list, k: int) -> list:
@@ -225,7 +213,7 @@ def _hash8(text: str) -> str:
 def _generated_name(t: Table, ordinal: int, question: str) -> str:
     name = f"col_{ordinal}_{_hash8(question)}"
     bump = ordinal
-    while t.has_column(name):
+    while name in t.column_names():
         bump += 1
         name = f"col_{bump}_{_hash8(question)}"
     return name

@@ -137,9 +137,6 @@ class Table:
     def column_names(self) -> list:
         return [c.name for c in self.columns]
 
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name or c.name == sanitize_name(name) for c in self.columns)
-
     def column(self, name: str) -> Column:
         """Look up a column by exact name, falling back to its sanitized form
         so programs written against original headers still resolve."""
@@ -332,7 +329,7 @@ def normalize(t: Table) -> Table:
 
 def project(t: Table, columns: list) -> Table:
     """Sub-table of row_id plus the named columns, in the requested order."""
-    picked = [t.column(ROW_ID)] if t.has_column(ROW_ID) else []
+    picked = [t.column(ROW_ID)] if ROW_ID in t.column_names() else []
     seen = {ROW_ID}
     for name in columns:
         c = t.column(name)
@@ -351,6 +348,19 @@ def augment(t: Table, c: Column) -> Table:
 
 
 # ---- prompt linearization ----
+# The line rule: a table row is one prompt line, and a reply is split only at
+# "\n". So "\n" is the only character that can break a row, and one_line
+# turns each into a space; every other character is cell text.
+
+def one_line(text: str) -> str:
+    return text.replace("\n", " ")
+
+
+def table_lines(t: Table, rows: Iterable) -> str:
+    """Table text as every prompt shows it: the line of column names, then a
+    newline plus linearize_row(row) for each of rows."""
+    return one_line("\t".join(t.column_names())) + "".join("\n" + linearize_row(r) for r in rows)
+
 
 def linearize_frame(t: Table, title: str, full: bool = False) -> tuple:
     """The text around a linearization's value rows, as (head, foot): the
@@ -368,13 +378,14 @@ def linearize_frame(t: Table, title: str, full: bool = False) -> tuple:
     else:
         lines.append("3 example rows:")
         lines.append("SELECT * FROM w LIMIT 3;")
-    lines.append("\t".join(t.column_names()))
+    lines.append(table_lines(t, ()))
     return "\n".join(lines), "\n*/"
 
 
 def linearize_row(row: tuple) -> str:
-    """One value row, its cells rendered by cell_to_text and tab-separated."""
-    return "\t".join(cell_to_text(v) for v in row)
+    """One value row as one prompt line: its cells rendered by cell_to_text
+    and tab-separated."""
+    return one_line("\t".join(cell_to_text(v) for v in row))
 
 
 def linearize(t: Table, title: str, num_rows: int, full: bool = False) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -119,6 +120,42 @@ def test_run_uses_cache_on_rerun(tmp_path, capsys):
                          "--cache-dir", str(cache), "-o", str(warm))
     assert code == 0
     assert warm.read_bytes() == cold.read_bytes()
+
+
+def _responses(entry: bytes):
+    return json.loads(entry)["responses"]
+
+
+def _with_responses(entry: bytes, responses) -> bytes:
+    return json.dumps({**json.loads(entry), "responses": responses}).encode()
+
+
+CACHE_DAMAGE = {  # the bytes of an entry and of another key's entry -> the damaged entry
+    "not-utf8": lambda entry, other: b"\xff\xfe{}",
+    "null-responses": lambda entry, other: _with_responses(entry, None),
+    "top-level-array": lambda entry, other: b"[1, 2]",
+    "string-responses": lambda entry, other: _with_responses(entry, "abc"),
+    "one-response": lambda entry, other: _with_responses(entry, _responses(entry)[:1]),
+    "int-responses": lambda entry, other: _with_responses(entry, [1] * len(_responses(entry))),
+    "another-key": lambda entry, other: other,
+    "truncated": lambda entry, other: entry[:len(entry) // 2],
+}
+
+
+@pytest.mark.parametrize("damage", CACHE_DAMAGE.values(), ids=CACHE_DAMAGE.keys())
+def test_run_recomputes_a_damaged_cache_entry(tmp_path, capsys, damage):
+    cache = tmp_path / "cache"
+    args = ["run", str(BENCH / "dataset.jsonl"), "--config", str(BENCH / "config.json"),
+            "--cache-dir", str(cache), "-o"]
+    assert run_cli(capsys, *args, str(tmp_path / "cold.jsonl"))[0] == 0
+    paths = sorted(cache.glob("*.json"))
+    entries = [path.read_bytes() for path in paths]
+    for i, path in enumerate(paths):
+        path.write_bytes(damage(entries[i], entries[i - 1]))
+    assert run_cli(capsys, *args, str(tmp_path / "warm.jsonl"))[0] == 0
+    assert (tmp_path / "warm.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+    # each damaged entry was rewritten
+    assert [_responses(path.read_bytes()) for path in paths] == list(map(_responses, entries))
 
 
 def test_eval_all_reproduces_judge_matrix(tmp_path, capsys):
@@ -476,14 +513,24 @@ def test_run_loads_each_table_once_per_run(tmp_path, capsys, monkeypatch):
 def test_run_renders_each_table_row_once_per_run(tmp_path, capsys, monkeypatch):
     """The planner keeps a loaded table's row lines for the rest of the run,
     and not past it: two runs in one process render the same rows, and
-    neither renders a row of the same table twice."""
+    neither renders a row of the same table twice. Only rows rendered while
+    a parse prompt is planned count; map and val prompts render their own."""
     rendered = []
-    linearize_row = lmsql.table.linearize_row
+    planning = threading.local()
+    linearize_row, plan_parse_prompt = lmsql.table.linearize_row, cli.plan_parse_prompt
 
     def counting(row):
-        rendered[-1] += 1
+        rendered[-1] += getattr(planning, "on", False)
         return linearize_row(row)
+
+    def planned(*args, **kwargs):
+        planning.on = True
+        try:
+            return plan_parse_prompt(*args, **kwargs)
+        finally:
+            planning.on = False
     monkeypatch.setattr(lmsql.table, "linearize_row", counting)
+    monkeypatch.setattr(cli, "plan_parse_prompt", planned)
     for name in ("first.jsonl", "second.jsonl"):
         rendered.append(0)
         code, _, _ = run_cli(capsys, "run", str(BENCH / "dataset.jsonl"),

@@ -9,7 +9,7 @@ from lmsql import (Answer, CompletionRequest, EvalError, MalformedResponse, Mock
                    execute_sql, parse, parse_map_response, retrieve_exec_demos,
                    run_program)
 from lmsql import cli, syntax
-from lmsql.interp import (ExecDemo, _fields, build_val_prompt, ngram_similarity,
+from lmsql.interp import (ExecDemo, _fields, _profile, _similarity, build_val_prompt,
                           resolve_call)
 from lmsql.syntax import api_calls_bottom_up, assign_roles
 
@@ -128,8 +128,8 @@ def test_retrieve_is_deterministic():
 
 
 def test_ngram_similarity_orders_sensibly():
-    near = ngram_similarity("is it from alabama?", "is it from texas?")
-    far = ngram_similarity("is it from alabama?", "what is the tonnage?")
+    near = _similarity(_profile("is it from alabama?"), _profile("is it from texas?"))
+    far = _similarity(_profile("is it from alabama?"), _profile("what is the tonnage?"))
     assert near > far > 0.0
 
 
