@@ -173,12 +173,14 @@ def make_backend(cfg: RunConfig) -> Backend:
 class Run:
     """What one command's examples share, set up by start_run: the checked
     config, the backend with the run's cache, the parse exemplars, the
-    execution-demo pool and the normalized tables loaded so far, by path."""
+    execution-demo pool, the normalized tables loaded so far, by path, and,
+    in `run`, the pool that sends a program's model calls."""
     cfg: RunConfig
     backend: Optional[Backend] = None
     exemplars: list = field(default_factory=list)
     pool: Optional[list] = None
     tables: dict = field(default_factory=dict)
+    call_executor: Optional[Executor] = None
 
     def table(self, path: str) -> Table:
         """The normalized table at path, loaded once per Run, on the main thread."""
@@ -282,7 +284,7 @@ def _execute_candidate(index: int, item, table: Table, run: Run) -> Candidate:
     if not isinstance(item, Program):
         return Candidate(index, item, None)
     try:
-        trace = run_program(item, table, run.backend, run.pool)
+        trace = run_program(item, table, run.backend, run.pool, run.call_executor)
     except LmSqlError as e:
         # without its traceback, whose frames hold the table, the worker
         # thread's work item and through it this very Candidate
@@ -370,9 +372,13 @@ def cmd_run(args) -> int:
     run = start_run(args)
     lines = _read_jsonl(run.cfg.dataset)
     out_path = Path(args.output) if args.output else Path("results.jsonl")
+    workers = run.cfg.parallelism
     try:
-        with ThreadPoolExecutor(max_workers=run.cfg.parallelism) as executor, \
+        # two pools: a candidate waits on its calls, so they must not share workers
+        with ThreadPoolExecutor(max_workers=workers) as executor, \
+                ThreadPoolExecutor(max_workers=workers) as calls, \
                 out_path.open("w", encoding="utf-8") as fh:
+            run.call_executor = calls
             for _, example in lines:
                 record = ({"id": None, "error": str(example), "final_answer": []}
                           if isinstance(example, FormatError)

@@ -2,8 +2,10 @@
 result as a column or a scalar, and run the resulting plain SQL.
 
 Map calls send the context sub-table row by row and read back an aligned
-answer column; val calls read a single value. Every resolved column is
-appended to the working table so later (outer) calls can consume it.
+answer column; val calls read a single value. An outer call sees the
+columns of the calls nested in its arguments; calls that do not nest are
+in flight together. Every resolved column is appended to the working table
+in post-order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import hashlib
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from concurrent.futures import Executor
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Optional
@@ -210,19 +213,26 @@ def _hash8(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:8]
 
 
-def _generated_name(t: Table, ordinal: int, question: str) -> str:
-    name = f"col_{ordinal}_{_hash8(question)}"
-    bump = ordinal
-    while name in t.column_names():
-        bump += 1
-        name = f"col_{bump}_{_hash8(question)}"
-    return name
+def _generated_names(calls: list, t: Table) -> list:
+    """Each call's column name, col_<post-order ordinal>_<question hash>,
+    bumped past t's columns and the columns of the map calls before it: the
+    names that resolving one call at a time in post-order gives."""
+    taken = set(t.column_names())
+    names = []
+    for ordinal, call in enumerate(calls):
+        bump = ordinal
+        while (name := f"col_{bump}_{_hash8(call.question)}") in taken:
+            bump += 1
+        names.append(name)
+        if call.role == "map":
+            taken.add(name)
+    return names
 
 
-def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list,
-                 ordinal: int = 0) -> Resolution:
-    """Resolve one call whose arguments are columns of t: nested calls must
-    already be substituted by their generated columns."""
+def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list, name: str) -> Resolution:
+    """Resolve one call whose arguments are columns of t, under the generated
+    column name `name`: nested calls must already be substituted by their
+    generated columns."""
     if call.role not in ("map", "val"):
         raise EvalError(f'call f("{call.question}"; ...) has no assigned role')
     if not all(isinstance(arg, ColumnRef) for arg in call.args):
@@ -233,7 +243,6 @@ def resolve_call(call: ApiCall, t: Table, backend: Backend, pool: list,
     def ask(prompt: str) -> str:
         return backend.complete(CompletionRequest(prompt, max_output_tokens=MAX_OUTPUT_TOKENS))[0]
 
-    name = _generated_name(t, ordinal, call.question)
     if call.role == "map" and not t.row_count:  # no row to ask about: no request
         return Resolution(call, Column(name, "text", ()), name, "", "")
     if call.role == "map":
@@ -256,6 +265,95 @@ class ExecutionTrace:
     rewritten: Program
 
 
+def _operand(res: Resolution):
+    """What a resolved call becomes in its program: its column or its value."""
+    return ColumnRef(res.generated_name) if isinstance(res.outcome, Column) else Literal(res.outcome)
+
+
+def _call_arguments(calls: list) -> list:
+    """For each call of a post-order list, the positions of the calls among
+    its arguments: the last roots completed before it."""
+    roots, out = [], []
+    for i, call in enumerate(calls):
+        start = len(roots) - sum(isinstance(a, ApiCall) for a in call.args)
+        out.append(roots[start:])
+        del roots[start:]
+        roots.append(i)
+    return out
+
+
+def _resolve(call: ApiCall, t: Table, backend: Backend, pool: list, name: str) -> Resolution:
+    """resolve_call, with any failure raised as a ResolutionError."""
+    try:
+        return resolve_call(call, t, backend, pool, name)
+    except Exception as e:
+        raise ResolutionError(call.question, e)
+
+
+def _outcome(job: tuple):
+    """_resolve(*job), or the ResolutionError it raises."""
+    try:
+        return _resolve(*job)
+    except ResolutionError as e:
+        return e
+
+
+def _run_wave(wave: list, jobs: list, executor: Optional[Executor], done: list) -> None:
+    """Set done[i] to the _outcome of each position i of the wave and its job.
+    The first job runs on this thread; the others run on the executor's
+    workers meanwhile, or here after it. A pool task raises its error, not
+    returns it: a work item lets go of its Future only when its task raises,
+    and a Future held through the error's own frames would be a cycle."""
+    if executor is None:
+        for i, job in zip(wave, jobs):
+            done[i] = _outcome(job)
+        return
+    pending = [executor.submit(_resolve, *job) for job in jobs[1:]]
+    done[wave[0]] = _outcome(jobs[0])
+    for i, future in zip(wave[1:], pending):
+        error = future.exception()
+        done[i] = error if isinstance(error, ResolutionError) else future.result()
+
+
+def _resolve_calls(calls: list, t: Table, backend: Backend, pool: list,
+                   executor: Optional[Executor]) -> list:
+    """The Resolution of each call of a post-order list, in that order, or the
+    ResolutionError of the first call in post-order that fails.
+
+    The calls go in waves: each wave holds every call before the first failure
+    whose argument calls are all resolved, so a call waits only for the calls
+    nested in its arguments, and one whose argument failed is never sent. A
+    call sees t plus its argument calls' columns, under a name fixed before
+    any request goes out."""
+    names = _generated_names(calls, t)
+    arguments = _call_arguments(calls)
+    done: list = [None] * len(calls)  # a Resolution or a ResolutionError
+    failed = len(calls)  # the position of the first failure
+    while True:
+        wave = [i for i in range(failed)
+                if done[i] is None and all(done[j] is not None for j in arguments[i])]
+        if not wave:
+            break
+        jobs = []
+        for i in wave:
+            results = iter([done[j] for j in arguments[i]])
+            call = replace(calls[i], args=tuple(_operand(next(results)) if isinstance(a, ApiCall)
+                                                else a for a in calls[i].args))
+            table = t
+            for j in arguments[i]:
+                if isinstance(done[j].outcome, Column):
+                    table = augment(table, done[j].outcome)
+            jobs.append((call, table, backend, pool, names[i]))
+        _run_wave(wave, jobs, executor, done)
+        failed = min((i for i in wave if isinstance(done[i], ResolutionError)), default=failed)
+    if failed < len(calls):
+        try:
+            raise done[failed]
+        finally:  # the errors' frames hold done: emptied, it ties no cycle
+            done.clear()
+    return done
+
+
 def _substitute_calls(node, substitute):
     """A copy of node with every call c replaced by substitute(c), where c's
     arguments are already substituted: a post-order map_children pass. It
@@ -265,31 +363,28 @@ def _substitute_calls(node, substitute):
     return substitute(node) if isinstance(node, ApiCall) else node
 
 
-def run_program(p: Program, t: Table, backend: Backend, pool=None) -> ExecutionTrace:
-    """Full execution with per-call trace. One post-order pass resolves each
-    call once its arguments are columns and substitutes it in the same
-    visit, so resolutions run strictly sequentially in bottom-up order.
-    Call-free programs never touch the backend. The answer is the result
-    rows flattened in row-major order."""
+def run_program(p: Program, t: Table, backend: Backend, pool=None,
+                executor: Optional[Executor] = None) -> ExecutionTrace:
+    """Full execution with per-call trace. The calls are resolved in waves
+    (_resolve_calls), with each wave's calls in flight at once on executor's
+    workers, so the wait is the depth of the call tree, not the number of
+    calls. Without an executor each wave runs on the calling thread. Names,
+    the working table's column order, the resolutions and the error raised
+    follow the calls' post-order, whatever order they complete in. Call-free
+    programs never touch the backend. The answer is the result rows
+    flattened in row-major order."""
     program = assign_roles(p)
+    calls = api_calls_bottom_up(program)
     working = t
-    resolutions = []
-    if api_calls_bottom_up(program):
-        if pool is None:
-            pool = default_exec_demos()
-
-        def resolve(call: ApiCall):
-            nonlocal working
-            try:
-                res = resolve_call(call, working, backend, pool, len(resolutions))
-            except Exception as e:
-                raise ResolutionError(call.question, e) from e
-            resolutions.append(res)
+    resolutions: list = []
+    if calls:
+        resolutions = _resolve_calls(calls, t, backend,
+                                     default_exec_demos() if pool is None else pool, executor)
+        for res in resolutions:
             if isinstance(res.outcome, Column):
                 working = augment(working, res.outcome)
-                return ColumnRef(res.generated_name)
-            return Literal(res.outcome)
-
-        program = Program(_substitute_calls(program.root, resolve), program.source_text)
+        operands = iter([_operand(res) for res in resolutions])
+        program = Program(_substitute_calls(program.root, lambda call: next(operands)),
+                          program.source_text)
     rows = execute_sql(program, working)
     return ExecutionTrace(Answer(tuple(v for row in rows for v in row)), resolutions, program)

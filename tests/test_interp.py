@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import gc
+import math
+import re
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmsql import (Answer, CompletionRequest, EvalError, MalformedResponse, MockBackend,
-                   NullBackend, ResolutionError, build_map_prompt, default_exec_demos,
+from lmsql import (Answer, Backend, BadResponse, CompletionRequest, EvalError,
+                   MalformedResponse, MockBackend, NullBackend, ResolutionError,
+                   build_map_prompt, default_exec_demos,
                    execute_sql, parse, parse_map_response, retrieve_exec_demos,
                    run_program)
 from lmsql import cli, syntax
@@ -133,6 +140,47 @@ def test_ngram_similarity_orders_sensibly():
     assert near > far > 0.0
 
 
+WORDS = st.sampled_from(["a", "b", "c", "d", "B", "7"])
+QUESTIONS = st.builds(lambda words, sep: sep.join(words) + "?",
+                      st.lists(WORDS, max_size=6), st.sampled_from([" ", ", ", " - "]))
+
+
+def reference_top_k(question: str, questions: list, k: int) -> list:
+    """Positions of the k questions nearest to question: a smoothed overlap
+    of their 1- to 4-word n-grams with a brevity penalty, written out here;
+    ties keep list order. An n longer than the question does not count."""
+    def words(text):
+        return re.findall(r"[a-z0-9]+", text.lower())
+
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+    hyp = words(question)
+
+    def score(ref):
+        if not hyp or not ref:
+            return 0.0
+        logs = []
+        for n in range(1, min(len(hyp), 4) + 1):
+            mine, theirs = ngrams(hyp, n), ngrams(ref, n)
+            matched = sum(min(c, theirs[g]) for g, c in mine.items())
+            logs.append(math.log((matched + 1.0) / (len(hyp) - n + 2.0)))
+        value = math.exp(sum(logs) / len(logs))
+        return value * math.exp(1.0 - len(ref) / len(hyp)) if len(hyp) < len(ref) else value
+
+    scores = [score(words(q)) for q in questions]
+    return sorted(range(len(questions)), key=lambda i: (-scores[i], i))[:max(k, 0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(QUESTIONS, st.lists(QUESTIONS, min_size=1, max_size=8), st.integers(-1, 9))
+def test_retrieval_ranks_as_a_reference_scorer_does(question, questions, k):
+    pool = [ExecDemo(f"t{i}", "row_id\tc\n0\tx", q, "row_id\tc\tq\n0\tx\ty")
+            for i, q in enumerate(questions)]
+    got = retrieve_exec_demos(question, pool, k)
+    assert [id(d) for d in got] == [id(pool[i]) for i in reference_top_k(question, questions, k)]
+
+
 def test_demo_invariant_enforced():
     with pytest.raises(Exception):
         ExecDemo("t", "row_id\ta\n0\tx", "q", "row_id\ta\n0\tx")  # no extra column
@@ -169,9 +217,9 @@ def test_resolve_map_call():
     t = feet_table()
     p, calls = tagged_calls('SELECT f("What is the value of in feet?"; prominence) FROM w')
     backend = RecordingBackend(feet_mock())
-    res = resolve_call(calls[0], t, backend, [])
+    res = resolve_call(calls[0], t, backend, [], "feet")
     assert res.outcome.cells == ("10080", "1677", "7196", "2894", "9832", "2563")
-    assert res.generated_name.startswith("col_0_")
+    assert res.generated_name == res.outcome.name == "feet"
     req, _ = backend.calls[0]
     # temperature 0, top_p 1, 1024 output tokens, one completion, stop at a blank line
     assert req == CompletionRequest(req.prompt, 0.0, 1.0, 1024, 1, ("\n\n",))
@@ -189,7 +237,7 @@ def test_resolve_val_call(hometown):
     p, calls = tagged_calls('SELECT f_val("The most formal?"; hometown)')
     mock = MockBackend()
     mock.add_rule(r"Q: The most formal\?\nA:", ["  Chicago, IL, U.S.\nextra line"])
-    res = resolve_call(calls[0], hometown, mock, [])
+    res = resolve_call(calls[0], hometown, mock, [], "formal")
     assert res.outcome == "chicago, il, u.s."
 
 
@@ -319,7 +367,7 @@ def test_resolve_call_rejects_unsubstituted_nested_call():
     _, calls = tagged_calls('SELECT f("outer?"; f("inner?"; c)) FROM w')
     backend = RecordingBackend(catch_all_mock())
     with pytest.raises(EvalError):
-        resolve_call(calls[-1], t, backend, [])
+        resolve_call(calls[-1], t, backend, [], "outer")
     assert backend.calls == []
 
 
@@ -333,3 +381,130 @@ def test_run_program_leaves_no_reference_cycles():
         assert gc.collect() == 0  # the working table is freed when the call returns
     finally:
         gc.enable()
+
+
+TWO_ROWS = "/*\nrow_id\tc\tq\n0\tx1\t1\n1\tx2\t2\n*/"  # a map reply: 1, then 2
+
+
+def test_pooled_run_program_with_a_failing_sibling_leaves_no_reference_cycles():
+    t = make_table("n", ["c"], [["x1"], ["x2"]])
+    ok = parse('SELECT c FROM w WHERE f("outer?"; f("inner?"; c)) = \'1\' AND f("b?"; c) = \'1\'')
+    failing = parse('SELECT c FROM w WHERE f("a?"; c) = \'1\' AND f("broken?"; c) = \'1\'')
+    both = parse('SELECT c FROM w WHERE f("broken?"; c) = \'1\' AND f("broken too?"; c) = \'1\'')
+    mock = MockBackend([("regex", r"broken", ["no rows here"]), ("regex", r"row by row", [TWO_ROWS])])
+    with ThreadPoolExecutor(max_workers=2) as calls:
+        run = cli.Run(cli.RunConfig(), mock, pool=[], call_executor=calls)
+        for program in (ok, failing, both):  # starts the workers before gc is checked
+            cli._execute_candidate(0, program, t, run)
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_program(ok, t, mock, pool=[], executor=calls).answer.display() == ["x1"]
+            for program in (failing, both):
+                assert isinstance(cli._execute_candidate(0, program, t, run).answer, ResolutionError)
+                for executor in (calls, None):
+                    try:
+                        run_program(program, t, mock, pool=[], executor=executor)
+                    except ResolutionError:
+                        pass
+            assert gc.collect() == 0  # the working tables are freed when the calls return
+        finally:
+            gc.enable()
+
+
+# ---- concurrent sibling calls ----
+
+SIBLINGS = parse('SELECT c FROM w WHERE f("a?"; c) = \'1\' AND f("b?"; c) = \'1\'')
+
+
+class ScriptedBackend(Backend):
+    """Answers each map request by its question: the reply the script gives,
+    or the exception it gives, raised. A question in `after` is answered
+    only once the question it names has been answered."""
+
+    identity = "scripted"
+
+    def __init__(self, script: dict, after=None):
+        self.script = script
+        self.after = after or {}
+        self.answered = {q: threading.Event() for q in script}
+        self.sent: list = []
+
+    def _complete(self, req: CompletionRequest) -> list:
+        question = re.search(r'Answer question "(.*)" row by row', req.prompt).group(1)
+        self.sent.append(question)
+        try:
+            if question in self.after:
+                assert self.answered[self.after[question]].wait(10)
+            reply = self.script[question]
+            if isinstance(reply, Exception):
+                raise reply
+            return [reply]
+        finally:
+            self.answered[question].set()
+
+
+class BarrierBackend(Backend):
+    """Holds each request at a two-party barrier: a request is answered only
+    while another is in flight too."""
+
+    identity = "barrier"
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.barrier = threading.Barrier(2, timeout=10)
+
+    def _complete(self, req: CompletionRequest) -> list:
+        self.barrier.wait()
+        return self.inner.complete(req)
+
+
+def test_sibling_calls_are_in_flight_together():
+    t = make_table("n", ["c"], [["x1"], ["x2"]])
+    with ThreadPoolExecutor(max_workers=1) as calls:
+        backend = BarrierBackend(MockBackend([("regex", r"row by row", [TWO_ROWS])]))
+        trace = run_program(SIBLINGS, t, backend, pool=[], executor=calls)
+    assert trace.answer.display() == ["x1"]
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_first_failure_in_post_order_is_raised(pooled):
+    t = make_table("n", ["c"], [["x1"], ["x2"]])
+    backend = ScriptedBackend({"a?": BadResponse("a broke"), "b?": BadResponse("b broke")},
+                              after={"a?": "b?"} if pooled else {})  # pooled: b fails first
+    with ThreadPoolExecutor(max_workers=1) as calls:
+        with pytest.raises(ResolutionError) as exc:
+            run_program(SIBLINGS, t, backend, pool=[], executor=calls if pooled else None)
+    assert exc.value.question == "a?" and str(exc.value.cause) == "a broke"
+    assert sorted(backend.sent) == ["a?", "b?"]  # a sibling after a failure may still be sent
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_a_call_over_a_failed_call_is_never_sent(pooled):
+    t = make_table("n", ["c"], [["x1"], ["x2"]])
+    program = parse('SELECT c FROM w WHERE f("outer?"; f("inner?"; c)) = \'1\' '
+                    'AND f("b?"; c) = \'1\'')
+    backend = ScriptedBackend({"inner?": BadResponse("inner broke"), "outer?": TWO_ROWS,
+                               "b?": TWO_ROWS})
+    with ThreadPoolExecutor(max_workers=2) as calls:
+        with pytest.raises(ResolutionError) as exc:
+            run_program(program, t, backend, pool=[], executor=calls if pooled else None)
+    assert exc.value.question == "inner?"
+    assert "outer?" not in backend.sent
+
+
+def test_resolutions_and_trace_follow_post_order_when_the_second_call_answers_first(capsys):
+    t = make_table("n", ["c"], [["x1"], ["x2"]])
+    program = parse('SELECT c FROM w WHERE f("a?"; c) = \'1\' AND f("c?"; f("b?"; c)) = \'1\'')
+    outputs = []
+    for pooled in (False, True):
+        backend = ScriptedBackend({"a?": TWO_ROWS, "b?": TWO_ROWS, "c?": TWO_ROWS},
+                                  after={"a?": "b?"} if pooled else {})  # pooled: b answers first
+        with ThreadPoolExecutor(max_workers=1) as calls:
+            trace = run_program(program, t, backend, pool=[], executor=calls if pooled else None)
+        assert trace.answer.display() == ["x1"]
+        assert [r.call.question for r in trace.resolutions] == ["a?", "b?", "c?"]
+        assert [r.generated_name[:6] for r in trace.resolutions] == ["col_0_", "col_1_", "col_2_"]
+        cli._print_trace(trace)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

@@ -54,7 +54,7 @@ class EchoBackend(Backend):
 def map_answers(rows: list, args: list, question: str, answers: list) -> tuple:
     t = make_table("w", NAMES, rows)
     call = ApiCall(question, tuple(ColumnRef(a) for a in args), "map")
-    return resolve_call(call, t, EchoBackend(answers), POOL).outcome.cells
+    return resolve_call(call, t, EchoBackend(answers), POOL, "answer").outcome.cells
 
 
 @pytest.mark.parametrize("cell", ["big city", "a */ b", "u\u2028v", "a\n\nb", "x\n1\tno",
