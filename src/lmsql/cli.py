@@ -374,9 +374,10 @@ def cmd_run(args) -> int:
     out_path = Path(args.output) if args.output else Path("results.jsonl")
     workers = run.cfg.parallelism
     try:
-        # two pools: a candidate waits on its calls, so they must not share workers
-        with ThreadPoolExecutor(max_workers=workers) as executor, \
-                ThreadPoolExecutor(max_workers=workers) as calls, \
+        # two pools: a candidate waits on its calls, so they must not share
+        # workers, and the call pool closes after the candidates' pool
+        with ThreadPoolExecutor(max_workers=workers) as calls, \
+                ThreadPoolExecutor(max_workers=workers) as executor, \
                 out_path.open("w", encoding="utf-8") as fh:
             run.call_executor = calls
             for _, example in lines:

@@ -79,7 +79,6 @@ class ResolutionError(LmSqlError):
         self.question = question
         self.cause = cause
         super().__init__(f'while resolving f("{question}"; ...): {cause}')
-        self.__cause__ = cause  # as `raise ... from cause` sets it
 
 
 # ---- completion backends ----

@@ -287,7 +287,7 @@ def _resolve(call: ApiCall, t: Table, backend: Backend, pool: list, name: str) -
     try:
         return resolve_call(call, t, backend, pool, name)
     except Exception as e:
-        raise ResolutionError(call.question, e)
+        raise ResolutionError(call.question, e) from e
 
 
 def _outcome(job: tuple):

@@ -8,7 +8,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lmsql import (Answer, Backend, BadResponse, CompletionRequest, EvalError,
                    MalformedResponse, MockBackend, NullBackend, ResolutionError,
@@ -174,6 +174,9 @@ def reference_top_k(question: str, questions: list, k: int) -> list:
 
 @settings(max_examples=400, deadline=None)
 @given(QUESTIONS, st.lists(QUESTIONS, min_size=1, max_size=8), st.integers(-1, 9))
+# a 2-token question: were its empty 3-gram level averaged in, the longer,
+# better matching demo would lose to the shorter one
+@example("a b?", ["a b c d?", "a c d?"], 1)
 def test_retrieval_ranks_as_a_reference_scorer_does(question, questions, k):
     pool = [ExecDemo(f"t{i}", "row_id\tc\n0\tx", q, "row_id\tc\tq\n0\tx\ty")
             for i, q in enumerate(questions)]

@@ -6,13 +6,16 @@ calls are in flight at once on the call pool, and the run's cache is
 single-flight. A wrapper under the cache, where the service stands, delays
 each request by a drawn 0-3 ms that depends on its key, so that requests
 finish in a drawn order, and the cache's claim of a key takes a drawn 0-1
-ms. The records must be the bytes of an undelayed run at --parallelism 1,
+ms. Threads switch every 10 us rather than every 5 ms, so that they
+interleave more finely. The records must be the bytes of an undelayed run at --parallelism 1,
+the rewritten programs (which name each call's column) must be that run's,
 and each distinct request must reach the service once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 import tempfile
 import threading
 import time
@@ -24,7 +27,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from lmsql import Backend, backend, cli
+from lmsql import Backend, backend, cli, print_program
 
 from conftest import fixture_path
 
@@ -70,35 +73,48 @@ def slow_future(salt: int):
 
 
 def run(fixture: str, parallelism: int, salt=None) -> tuple:
-    """(the bytes of results.jsonl, the service's request counts) of
-    `lmsql run` on a fixture, with requests delayed by salt, or not."""
-    services = []
+    """(the bytes of results.jsonl, the sorted rewritten programs of the
+    candidates that ran, the service's request counts) of `lmsql run` on a
+    fixture, with requests delayed by salt, or not."""
+    services, rewritten = [], []
 
     def service(path):
         services.append(DelayBackend(load(path), salt))
         return services[-1]
-    load = cli.mock_from_fixtures
+
+    def traced(*args):
+        trace = run_program(*args)
+        rewritten.append(print_program(trace.rewritten))
+        return trace
+    load, run_program = cli.mock_from_fixtures, cli.run_program
     inputs = fixture_path(fixture)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "mock_from_fixtures", service), \
+            mock.patch.object(cli, "run_program", traced), \
             mock.patch.object(backend, "Future", Future if salt is None else slow_future(salt)):
         out = Path(tmp) / "results.jsonl"
         code = cli.main(["run", str(inputs / "dataset.jsonl"), "--config",
                          str(inputs / "config.json"), "--parallelism", str(parallelism),
                          "-o", str(out)])
         assert code == 0
-        return out.read_bytes(), services[0].sent
+        return out.read_bytes(), sorted(rewritten), services[0].sent
 
 
 @cache
-def reference(fixture: str) -> bytes:
-    return run(fixture, 1)[0]
+def reference(fixture: str) -> tuple:
+    return run(fixture, 1)[:2]
 
 
 @settings(max_examples=30, deadline=None)
 @given(fixture=st.sampled_from(FIXTURES), parallelism=st.sampled_from([1, 2, 4]),
        salt=st.integers(0, 2**32 - 1))
 def test_records_and_requests_do_not_depend_on_the_schedule(fixture, parallelism, salt):
-    results, sent = run(fixture, parallelism, salt)
-    assert results == reference(fixture)
+    reference(fixture)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results, rewritten, sent = run(fixture, parallelism, salt)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (results, rewritten) == reference(fixture)
     assert sent and set(sent.values()) == {1}  # each distinct request reached the service once
