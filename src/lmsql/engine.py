@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -18,7 +19,8 @@ from functools import cached_property
 from .errors import EvalError, UnknownColumn, UnsupportedFeature
 from .syntax import (Aggregate, Binary, ColumnRef, InList, IsNull, Literal,
                      Program, Query, ScalarSubquery, Star, Unary, aggregates)
-from .table import Cell, Table, as_date, as_number, cell_to_text, format_number, parse_number
+from .table import (Cell, Column, Table, as_date, as_number, cell_to_text, format_number,
+                    parse_number)
 
 
 EMPTY_KEY = "<empty>"
@@ -83,16 +85,6 @@ def _sort_key(v: Cell):
     s = str(v)
     n = parse_number(s)
     return (0, n) if n is not None else (2, s)
-
-
-def _group_key(v: Cell):
-    if v is None:
-        return ("null",)
-    if isinstance(v, float):
-        return ("n", v)
-    if isinstance(v, date):
-        return ("d", v.toordinal())
-    return ("t", str(v))
 
 
 def _compare(left: Cell, right: Cell, compare) -> Cell:
@@ -282,10 +274,7 @@ def _compile_aggregate(agg: Aggregate, t: Table):
     def aggregate(g):
         present = [v for v in map(arg, g[0]) if v is not None]
         if distinct:  # the first of each equal value
-            first: dict = {}
-            for v in present:
-                first.setdefault(_group_key(v), v)
-            present = list(first.values())
+            present = list(dict.fromkeys(present))
         if func == "COUNT":
             return float(len(present))
         if func in ("SUM", "AVG"):
@@ -327,6 +316,161 @@ def _scalar(rows: list) -> Cell:
     if len(rows[0]) != 1:
         raise EvalError(f"scalar subquery returned {len(rows[0])} columns")
     return rows[0][0]
+
+
+# ---- filters ----
+#
+# A WHERE compiles into a filter: a function from a list of row indices, in
+# ascending order, to the indices where the predicate is true, in the same
+# order. A predicate that cannot raise is evaluated a column at a time: each
+# comparison of a column with a literal, IS NULL, IN a list of literals and
+# LIKE becomes one comprehension over the column's cells, whose type the
+# column's declared_type fixes. Any other predicate keeps its row closure,
+# so its errors arise at the rows and operands where a row-by-row walk
+# raises them (the right of an AND is read only where the left is not false).
+
+_OPERATORS = {*_COMPARISONS, *_ARITHMETIC, "AND", "OR", "LIKE", "NOT LIKE"}
+_NEGATED = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+# The rows whose cell v has `v op x`, for an x of the cells' type. With no
+# NaN, each order is total, so `not v < x` is `v >= x` for every v not null.
+_CELL_FILTERS = {
+    "=": lambda cells, x: lambda idx: [i for i in idx if cells[i] == x],
+    "!=": lambda cells, x: lambda idx: [i for i in idx if (v := cells[i]) is not None and v != x],
+    "<": lambda cells, x: lambda idx: [i for i in idx if (v := cells[i]) is not None and v < x],
+    "<=": lambda cells, x: lambda idx: [i for i in idx if (v := cells[i]) is not None and v <= x],
+    ">": lambda cells, x: lambda idx: [i for i in idx if (v := cells[i]) is not None and v > x],
+    ">=": lambda cells, x: lambda idx: [i for i in idx if (v := cells[i]) is not None and v >= x],
+}
+
+
+def _no_rows(_):
+    return []
+
+
+def _compile_filter(expr, t: Table):
+    if _cannot_raise(expr, t):
+        return _filter(expr, t, True)
+    row = _compile(expr, _ROW, t)
+    return lambda idx: [i for i in idx if _truthy(row(i))]
+
+
+def _cannot_raise(expr, t: Table) -> bool:
+    """Whether expr's row closure raises on no row of t: every column
+    resolves, and there is no subquery, aggregate, star or unsupported node."""
+    if isinstance(expr, Literal):
+        return True
+    if isinstance(expr, ColumnRef):
+        return _resolve(expr, t) is not None
+    if isinstance(expr, Unary):
+        return _cannot_raise(expr.operand, t)
+    if isinstance(expr, IsNull):
+        return _cannot_raise(expr.subject, t)
+    if isinstance(expr, InList):
+        return all(_cannot_raise(e, t) for e in (expr.subject, *expr.items))
+    if isinstance(expr, Binary):
+        return (expr.op in _OPERATORS
+                and _cannot_raise(expr.left, t) and _cannot_raise(expr.right, t))
+    return False
+
+
+def _resolve(expr, t: Table):
+    """The column a ColumnRef names in t, or None."""
+    try:
+        return t.column(expr.name) if isinstance(expr, ColumnRef) else None
+    except UnknownColumn:
+        return None
+
+
+def _filter(expr, t: Table, truth: bool):
+    """The filter keeping the rows where expr, which cannot raise, is
+    `truth` (True or False); a row where it is null is kept by neither."""
+    if isinstance(expr, Unary) and expr.op == "NOT":
+        return _filter(expr.operand, t, not truth)
+    if isinstance(expr, Binary) and expr.op in ("AND", "OR"):
+        left, right = _filter(expr.left, t, truth), _filter(expr.right, t, truth)
+        if (expr.op == "AND") == truth:  # both operands must be `truth`
+            return lambda idx: right(left(idx))
+
+        def either(idx):  # one operand being `truth` is enough
+            first = left(idx)
+            taken = set(first)
+            return sorted(first + right([i for i in idx if i not in taken]))
+        return either
+    leaf = _column_filter(expr, t, truth)
+    if leaf is not None:
+        return leaf
+    row = _compile(expr, _ROW, t)
+    return lambda idx: [i for i in idx if (v := row(i)) is not None and _truthy(v) == truth]
+
+
+def _column_filter(expr, t: Table, truth: bool):
+    """One comprehension over a column's cells, or None for a predicate of
+    another form."""
+    if isinstance(expr, IsNull) and (col := _resolve(expr.subject, t)) is not None:
+        cells = col.cells
+        if truth != expr.negated:
+            return lambda idx: [i for i in idx if cells[i] is None]
+        return lambda idx: [i for i in idx if cells[i] is not None]
+    if isinstance(expr, InList) and all(isinstance(e, Literal) for e in expr.items):
+        return _in_filter(_resolve(expr.subject, t), [e.value for e in expr.items],
+                          truth != expr.negated)
+    if not isinstance(expr, Binary):
+        return None
+    op, left, right = expr.op, expr.left, expr.right
+    if op in ("LIKE", "NOT LIKE"):
+        col = _resolve(left, t)
+        if col is None or col.declared_type != "text":
+            return None
+        cells, match = col.cells, _like_regex(right.value).fullmatch
+        if truth != (op == "NOT LIKE"):
+            return lambda idx: [i for i in idx if (v := cells[i]) is not None and match(v)]
+        return lambda idx: [i for i in idx if (v := cells[i]) is not None and not match(v)]
+    if op not in _COMPARISONS:
+        return None
+    if isinstance(left, Literal):
+        op, left, right = _MIRRORED[op], right, left
+    col = _resolve(left, t)
+    if col is None or not isinstance(right, Literal):
+        return None
+    return _compared(col, right.value, op if truth else _NEGATED[op])
+
+
+def _compared(col: Column, x: Cell, op: str):
+    """The rows where `cell op x` is true, with the coercions of _compare:
+    x is coerced to the column's type once, except that a text cell compared
+    with a number is read as a number cell by cell."""
+    cells = col.cells
+    if col.declared_type == "text" and isinstance(x, float):
+        compare = _COMPARISONS[op]
+        return lambda idx: [i for i in idx
+                            if (n := as_number(cells[i])) is not None and compare(n, x)]
+    x = _as_cell(col, x)
+    return _no_rows if x is None else _CELL_FILTERS[op](cells, x)
+
+
+def _as_cell(col: Column, x: Cell) -> Cell:
+    """A text or number literal as the column's cells hold it; None if it
+    compares with none of them. Text stays text, even numeric text."""
+    kind = col.declared_type
+    return x if kind == "text" else as_date(x) if kind == "date" else as_number(x)
+
+
+def _in_filter(col, items: list, hits: bool):
+    """The rows where a column's cell equals one of items (hits=True), or
+    where it equals none of them and no item makes the test null."""
+    if col is None:
+        return None
+    if col.declared_type == "text" and any(isinstance(x, float) for x in items):
+        return None  # text against a number: left to the row closure
+    cells, values = col.cells, [_as_cell(col, x) for x in items]
+    wanted = {x for x in values if x is not None}
+    if hits:
+        return lambda idx: [i for i in idx if cells[i] in wanted]
+    if None in values:  # a null item: no cell is IN false
+        return _no_rows
+    return lambda idx: [i for i in idx if (v := cells[i]) is not None and v not in wanted]
 
 
 # ---- query execution ----
@@ -380,8 +524,7 @@ def _exec_query(q: Query, t: Table) -> list:
     else:
         indices = range(t.row_count)
         if q.where is not None:
-            where = _compile(q.where, _ROW, t)
-            indices = [i for i in indices if _truthy(where(i))]
+            indices = _compile_filter(q.where, t)(indices)
         select_aggs = [a for e in q.select_items for a in aggregates(e)]
         is_aggregate = (
             bool(q.group_by)
@@ -405,7 +548,7 @@ def _exec_query(q: Query, t: Table) -> list:
     if q.distinct:  # the first of each equal row
         first: dict = {}
         for e in entries:
-            first.setdefault(tuple([_group_key(v) for v in e[0]]), e)
+            first.setdefault(e[0], e)
         entries = list(first.values())
     if q.order_by:
         entries = _order_rows(entries, q)
@@ -420,10 +563,15 @@ def _exec_query(q: Query, t: Table) -> list:
 def _group(q: Query, t: Table, indices) -> list:
     if not q.group_by:
         return [indices]  # single group, possibly empty (COUNT(*) over no rows is 0)
+    # Rows group by their key cells themselves: a cell is None, a float that
+    # is not NaN, a str or a date, so two cells are equal, and hash alike,
+    # exactly when they are the same value of the same type (-0.0 is 0.0).
     keys = [_compile(g, _ROW, t) for g in q.group_by]
-    buckets: dict = {}
-    for i in indices:
-        buckets.setdefault(tuple([_group_key(key(i)) for key in keys]), []).append(i)
+    values = (map(keys[0], indices) if len(keys) == 1
+              else zip(*[map(key, indices) for key in keys]))  # per row, keys left to right
+    buckets = defaultdict(list)
+    for i, v in zip(indices, values):
+        buckets[v].append(i)
     return list(buckets.values())  # insertion order = first-appearance order
 
 

@@ -49,6 +49,19 @@ _DATE_PATTERNS = (
 def parse_date_like(text: str) -> Optional[date]:
     """Parse a date in one of the accepted surface forms, or return None."""
     s = text.strip().lower()
+    # the common YYYY-MM-DD form, with ASCII digits only: the patterns' \d
+    # also takes other digits, and fromisoformat other forms (YYYYMMDD)
+    if (len(s) == 10 and s[4] == s[7] == "-" and s.isascii()
+            and (s[:4] + s[5:7] + s[8:]).isdigit()):
+        try:
+            return date.fromisoformat(s)
+        except ValueError:  # no such day, and no other form matches
+            return None
+    return _parse_date_forms(s)
+
+
+def _parse_date_forms(s: str) -> Optional[date]:
+    """parse_date_like on a stripped, lowercased text, by the patterns."""
     for pat in _DATE_PATTERNS:
         m = pat.match(s)
         if not m:
@@ -109,6 +122,10 @@ def sanitize_name(name: str) -> str:
 
 @dataclass(frozen=True)
 class Column:
+    """In a normalized table, and in a column the interpreter adds, the
+    declared_type fixes the type of the cells, and the evaluator relies on
+    it: an int or real column holds floats, a date column dates, a text
+    column str, and any of them None."""
     name: str
     declared_type: str  # int | real | text | date
     cells: tuple

@@ -3,20 +3,22 @@ the errors, of the tree-walking evaluator it replaced. That walker is kept
 below as the reference, unchanged apart from its imports and the name of
 its entry point: a scope object per row or group, and one _eval that
 dispatches on the node type at every visit. It keeps its own copies of the
-helpers whose engine versions changed, _compare and _truthy."""
+helpers whose engine versions changed or are gone: _compare, _truthy and
+_group_key."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
 import random
+from datetime import date
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from lmsql import parse
-from lmsql.engine import (_comparable_pair, _group_key, _like_regex, _limit_count,
-                          _order_rows, _scalar, _sort_key, execute_sql)
+from lmsql.engine import (_comparable_pair, _like_regex, _limit_count, _order_rows, _scalar,
+                          _sort_key, execute_sql)
 from lmsql.errors import EvalError, UnsupportedFeature
 from lmsql.syntax import (Aggregate, ApiCall, Binary, ColumnRef, InList, IsNull, Literal,
                           Program, Query, ScalarSubquery, Star, Unary, aggregates)
@@ -48,6 +50,16 @@ def _compare(left: Cell, right: Cell, op: str) -> Cell:
         "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
     }[op]
     return 1.0 if result else 0.0
+
+
+def _group_key(v: Cell):
+    if v is None:
+        return ("null",)
+    if isinstance(v, float):
+        return ("n", v)
+    if isinstance(v, date):
+        return ("d", v.toordinal())
+    return ("t", str(v))
 
 
 # ---- scopes ----

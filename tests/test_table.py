@@ -195,6 +195,27 @@ def test_parse_date_like_forms():
     assert parse_date_like("1859–1864") is None
 
 
+iso_like = st.tuples(st.integers(0, 10**4 - 1), st.integers(0, 13), st.integers(0, 32)).map(
+    lambda ymd: "%04d-%02d-%02d" % ymd)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(
+    iso_like,
+    st.tuples(st.sampled_from(["", " ", "\t", "\n "]), iso_like,
+              st.sampled_from(["", " ", " 10:20", "t10:20:30", "T10:20", " 10:20:30"])).map("".join),
+    st.from_regex(r"\A\d{4}-\d{2}-\d{2}\Z"),  # \d matches non-ASCII digits too
+    iso_like.map(lambda s: s.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))),
+    iso_like.map(lambda s: s.replace("-", "")),  # compact, which fromisoformat accepts
+    st.sampled_from(["2020-W01-1", "2020-W011", "2020-001", "2020-1-01", "2020-01-1",
+                     "+020-01-01", "2020-02-30", "2021-02-29", "0000-01-01", "2020_01_01",
+                     "2020-01-01z", "２０２０-01-01", "2020-0²-01", "1990-05-27 00:00:00"]),
+    st.text(alphabet="0123456789-: tTwWz٠١²", max_size=12),
+))
+def test_iso_fast_path_agrees_with_the_patterns(text):
+    assert parse_date_like(text) == lmsql.table._parse_date_forms(text.strip().lower())
+
+
 # ---- ingest against the two-pass code it replaced ----
 # Every cell went through old_ingest_cell on ingest, and _infer_cells then
 # walked it again. The old code runs through the public functions with
