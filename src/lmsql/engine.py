@@ -352,8 +352,14 @@ def _no_rows(_):
 def _compile_filter(expr, t: Table):
     if _cannot_raise(expr, t):
         return _filter(expr, t, True)
-    row = _compile(expr, _ROW, t)
-    return lambda idx: [i for i in idx if _truthy(row(i))]
+    return _row_filter(_compile(expr, _ROW, t), True)
+
+
+def _row_filter(row, truth: bool):
+    """The filter keeping the rows where the row closure's value is `truth`."""
+    if truth:
+        return lambda idx: [i for i in idx if _truthy(row(i))]
+    return lambda idx: [i for i in idx if (v := row(i)) is not None and not _truthy(v)]
 
 
 def _cannot_raise(expr, t: Table) -> bool:
@@ -399,10 +405,7 @@ def _filter(expr, t: Table, truth: bool):
             return sorted(first + right([i for i in idx if i not in taken]))
         return either
     leaf = _column_filter(expr, t, truth)
-    if leaf is not None:
-        return leaf
-    row = _compile(expr, _ROW, t)
-    return lambda idx: [i for i in idx if (v := row(i)) is not None and _truthy(v) == truth]
+    return leaf if leaf is not None else _row_filter(_compile(expr, _ROW, t), truth)
 
 
 def _column_filter(expr, t: Table, truth: bool):

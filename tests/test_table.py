@@ -207,6 +207,8 @@ iso_like = st.tuples(st.integers(0, 10**4 - 1), st.integers(0, 13), st.integers(
     st.from_regex(r"\A\d{4}-\d{2}-\d{2}\Z"),  # \d matches non-ASCII digits too
     iso_like.map(lambda s: s.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))),
     iso_like.map(lambda s: s.replace("-", "")),  # compact, which fromisoformat accepts
+    st.tuples(*[st.text(alphabet="0123456789 +-_.:/tw", min_size=lo, max_size=hi)
+                for lo, hi in ((4, 4), (2, 2), (2, 4))]).map("-".join),  # the ISO shape, other characters
     st.sampled_from(["2020-W01-1", "2020-W011", "2020-001", "2020-1-01", "2020-01-1",
                      "+020-01-01", "2020-02-30", "2021-02-29", "0000-01-01", "2020_01_01",
                      "2020-01-01z", "２０２０-01-01", "2020-0²-01", "1990-05-27 00:00:00"]),
